@@ -1,5 +1,5 @@
 (* Bechamel micro-benchmarks of the runtime primitives (real nanoseconds):
-   the coroutine switch, deque operations, Alg. 2 placement computation and
+   the coroutine switch, Alg. 2 placement computation and
    the machine-model access path.  These back the paper's claim that
    user-space task switching is orders of magnitude cheaper than kernel
    threads. *)
@@ -25,20 +25,6 @@ let test_coroutine_switch =
   in
   Test.make ~name:"coroutine yield/resume"
     (Staged.stage (fun () -> ignore (Engine.Coroutine.resume !c)))
-
-let test_wsqueue =
-  let q = Engine.Wsqueue.create () in
-  Test.make ~name:"wsqueue push+pop"
-    (Staged.stage (fun () ->
-         Engine.Wsqueue.push q 1;
-         ignore (Engine.Wsqueue.pop q)))
-
-let test_wsqueue_steal =
-  let q = Engine.Wsqueue.create () in
-  Test.make ~name:"wsqueue push+steal"
-    (Staged.stage (fun () ->
-         Engine.Wsqueue.push q 1;
-         ignore (Engine.Wsqueue.steal q)))
 
 let test_placement =
   let topo = Presets.amd_milan () in
@@ -75,8 +61,6 @@ let tests =
     [
       test_coroutine_spawn;
       test_coroutine_switch;
-      test_wsqueue;
-      test_wsqueue_steal;
       test_placement;
       test_latency_classify;
       test_cache_hit;

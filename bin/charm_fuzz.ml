@@ -19,19 +19,8 @@
 
 open Cmdliner
 
-let plants = [ "skip-ready-clamp"; "vote-skip" ]
-
 let main seeds start_seed smoke plant expect_violation max_repro_faults out =
-  (match plant with
-  | Some kind ->
-      if not (List.mem kind plants) then begin
-        Printf.eprintf "charm_fuzz: unknown --plant kind %s (known: %s)\n" kind
-          (String.concat ", " plants);
-        exit 2
-      end;
-      (* the scheduler reads this lazily before the first quantum runs *)
-      Unix.putenv "CHARM_CHECK_PLANT" kind
-  | None -> ());
+  Chipsim.Invariant.Plant.set plant;
   let mode = if smoke then Check.Scenario.Smoke else Check.Scenario.Deep in
   let outcome =
     Check.Fuzz.run
@@ -98,20 +87,6 @@ let smoke_arg =
            inputs) — the fast CI gate. Without it, scenarios span every \
            preset machine and wider size ranges (the nightly fuzz).")
 
-let plant_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "plant" ] ~docv:"KIND"
-        ~doc:
-          "Deliberately plant a known bug before fuzzing (sets \
-           CHARM_CHECK_PLANT). Known kinds: skip-ready-clamp (the scheduler \
-           skips the ready-at causality clamp) and vote-skip (the replica \
-           voter returns replica 0's token unchecked — needs scenarios \
-           with 3-replica tenants over >= 3 chiplets to trip, so give it \
-           plenty of seeds; CI uses a deterministic charm_serve repro \
-           instead). Used to prove the invariants catch real violations.")
-
 let expect_arg =
   Arg.(
     value & flag
@@ -140,7 +115,7 @@ let cmd =
   Cmd.v
     (Cmd.info "charm_fuzz" ~doc)
     Term.(
-      const main $ seeds_arg $ start_seed_arg $ smoke_arg $ plant_arg
+      const main $ seeds_arg $ start_seed_arg $ smoke_arg $ Cli.plant
       $ expect_arg $ max_repro_arg $ out_arg)
 
 let () = exit (Cmd.eval cmd)

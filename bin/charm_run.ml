@@ -9,23 +9,6 @@
 open Cmdliner
 module Sys_ = Harness.Systems
 
-let systems =
-  [
-    ("charm", Sys_.Charm);
-    ("charm-async", Sys_.Charm_os_threads);
-    ("ring", Sys_.Ring);
-    ("dw-native", Sys_.Dw_native);
-    ("shoal", Sys_.Shoal);
-    ("asymsched", Sys_.Asymsched);
-    ("sam", Sys_.Sam);
-    ("os-default", Sys_.Os_default);
-    ("local-cache", Sys_.Local_cache);
-    ("distributed-cache", Sys_.Distributed_cache);
-  ]
-
-let machines =
-  [ ("amd", Sys_.Amd_milan); ("amd1s", Sys_.Amd_milan_1s); ("intel", Sys_.Intel_spr) ]
-
 let workloads =
   [ "bfs"; "pr"; "cc"; "sssp"; "gups"; "graph500"; "streamcluster"; "sgd";
     "tpch"; "ycsb"; "tpcc"; "dag" ]
@@ -155,131 +138,33 @@ let engine_events machine =
   + Pmu.total pmu Pmu.Task_stolen
   + Pmu.total pmu Pmu.Migration
 
-(* --faults accepts the spec inline or as a path to a spec file *)
-let load_fault_spec spec =
-  if Sys.file_exists spec && not (Sys.is_directory spec) then begin
-    let ic = open_in spec in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  end
-  else spec
-
-let main sys machine topology_spec workers cache_scale workload graph_scale
-    query seed energy energy_weight power_cap trace_file fault_spec check =
-  (* --topology overrides -m with a data-driven machine *)
-  let machine =
-    match topology_spec with
-    | None -> machine
-    | Some spec -> (
-        match Sys_.custom_machine_of_spec spec with
-        | Ok m -> m
-        | Error msg ->
-            Printf.eprintf "charm_run: bad --topology spec: %s\n" msg;
-            exit 2)
-  in
-  if not (Float.is_finite energy_weight && energy_weight >= 0.0) then begin
-    Printf.eprintf "charm_run: --energy-weight must be finite and >= 0\n";
-    exit 2
-  end;
-  if not (Float.is_finite power_cap && power_cap >= 0.0) then begin
-    Printf.eprintf "charm_run: --power-cap must be finite and >= 0\n";
-    exit 2
-  end;
-  let charm_config =
-    if energy_weight > 0.0 || power_cap > 0.0 then
-      Some
-        {
-          Charm.Config.default with
-          Charm.Config.energy_weight;
-          power_cap_mw = power_cap;
-        }
-    else None
-  in
-  let inst =
-    match
-      Sys_.make ?charm_config ~cache_scale sys machine ~n_workers:workers ()
-    with
-    | inst -> inst
-    | exception Invalid_argument msg ->
-        (* rejected configuration (too many workers, inverted cache scale,
-           ...): a user error, not a crash *)
-        Printf.eprintf "charm_run: %s\n" msg;
-        exit 2
-  in
-  if energy || energy_weight > 0.0 || power_cap > 0.0 then
-    Engine.Sched.set_energy inst.Sys_.env.Workloads.Exec_env.sched true;
-  if check then
-    Engine.Sched.set_check inst.Sys_.env.Workloads.Exec_env.sched true;
-  (match fault_spec with
-  | Some spec -> (
-      let topo = Chipsim.Machine.topology inst.Sys_.machine in
-      match Faults.Schedule.parse ~topo (load_fault_spec spec) with
-      | Ok schedule ->
-          ignore
-            (Faults.Injector.attach inst.Sys_.env.Workloads.Exec_env.sched
-               schedule
-              : Faults.Injector.t)
-      | Error msg ->
-          Printf.eprintf "charm_run: bad --faults spec: %s\n" msg;
-          exit 2)
-  | None -> ());
+let main (c : Cli.common) workload graph_scale query seed =
+  Cli.run "charm_run" c @@ fun machine ->
+  let inst = Cli.instance c machine in
   let trace =
-    match trace_file with
-    | None -> None
-    | Some _ ->
+    Option.map
+      (fun file ->
         let tr = Engine.Trace.create () in
         (* CHARM wires every layer; baselines still get the scheduler's
            quantum / steal / park / migration timeline *)
         (match inst.Sys_.charm with
         | Some rt -> Charm.Runtime.attach_trace rt tr
         | None -> Engine.Sched.set_trace inst.Sys_.env.Workloads.Exec_env.sched (Some tr));
-        Some tr
+        (tr, file))
+      c.trace
   in
   Printf.printf "system=%s machine=[%s] workers=%d cache-scale=%d\n"
-    (Sys_.sys_name sys)
+    (Sys_.sys_name c.sys)
     (Format.asprintf "%a" Chipsim.Topology.pp (Chipsim.Machine.topology inst.Sys_.machine))
-    workers cache_scale;
+    c.workers c.cache_scale;
   let t0 = Unix.gettimeofday () in
-  (match run_workload inst.Sys_.env inst ~workload ~graph_scale ~query ~seed with
-  | () -> ()
-  | exception Chipsim.Invariant.Violation msg ->
-      Printf.eprintf "charm_run: INVARIANT VIOLATION: %s\n" msg;
-      exit 3);
+  run_workload inst.Sys_.env inst ~workload ~graph_scale ~query ~seed;
   let wall = Unix.gettimeofday () -. t0 in
   let events = engine_events inst.Sys_.machine in
   Printf.printf "engine: %d simulated events in %.3fs (%.3g events/s end-to-end)\n"
     events wall
     (float_of_int events /. Float.max 1e-9 wall);
-  match (trace, trace_file) with
-  | Some tr, Some file ->
-      Engine.Trace.save tr file;
-      Printf.eprintf "wrote %d trace events to %s (load in chrome://tracing)\n%s"
-        (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
-  | _ -> ()
-
-let sys_arg =
-  Arg.(value & opt (enum systems) Sys_.Charm & info [ "s"; "system" ] ~doc:"Runtime system.")
-
-let machine_arg =
-  Arg.(value & opt (enum machines) Sys_.Amd_milan & info [ "m"; "machine" ] ~doc:"Machine model.")
-
-let topology_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "topology" ] ~docv:"SPEC"
-        ~doc:
-          "Data-driven machine topology overriding $(b,-m): a path to a \
-           topology file (see examples/topologies/) or an inline \
-           ';'-separated spec. Supports heterogeneous chiplet kinds \
-           (big/little/accel) and per-chiplet link overrides.")
-
-let workers_arg =
-  Arg.(value & opt int 64 & info [ "n"; "workers" ] ~doc:"Worker threads.")
-
-let cache_scale_arg =
-  Arg.(value & opt int 16 & info [ "cache-scale" ] ~doc:"Divide cache capacities by this factor.")
+  Option.iter (fun (tr, file) -> Cli.save_trace tr file) trace
 
 let workload_arg =
   Arg.(
@@ -287,88 +172,15 @@ let workload_arg =
     & opt (enum (List.map (fun w -> (w, w)) workloads)) "bfs"
     & info [ "w"; "workload" ] ~doc:"Workload to run.")
 
-let graph_scale_arg =
-  Arg.(value & opt int 13 & info [ "graph-scale" ] ~doc:"log2 of graph vertices.")
-
 let query_arg =
   Arg.(value & opt (some int) None & info [ "q"; "query" ] ~doc:"TPC-H query number.")
-
-let seed_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "seed" ]
-        ~doc:"Seed for all input generators (graph, tables, access streams).")
-
-let energy_arg =
-  Arg.(
-    value & flag
-    & info [ "energy" ]
-        ~doc:
-          "Turn per-quantum compute-energy accounting on (memory energy is \
-           always metered); the report's energy line gains the compute \
-           term. Virtual time is unaffected.")
-
-let energy_weight_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "energy-weight" ] ~docv:"W"
-        ~doc:
-          "EDP-aware placement weight for CHARM's policy (see charm_serve). \
-           Implies --energy. 0 disables.")
-
-let power_cap_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "power-cap" ] ~docv:"MW"
-        ~doc:
-          "Machine power cap in simulated milliwatts (1 mW = 1 pJ/ns), \
-           enforced by CHARM's controller via DVFS shedding of the hottest \
-           chiplet. Implies --energy. 0 disables.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Write a Chrome trace-event JSON of the run (task quanta, steals, \
-           parks, migrations, policy decisions) to $(docv); a text summary \
-           goes to stderr.")
-
-let faults_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"SPEC"
-        ~doc:
-          "Deterministic fault schedule: either an inline spec or a path to \
-           a spec file. Entries are ';'- or newline-separated \
-           $(i,TIME_US:KIND:ARGS) — core-off/core-on:CORE, dvfs:CORE:SPEED, \
-           l3-ways:CHIPLET:WAYS, link:CHIPLET:MULT, xsocket:MULT, \
-           membw:NODE:FACTOR — plus rand:SEED:N:HORIZON_US for seeded \
-           random events.")
-
-let check_arg =
-  Arg.(
-    value & flag
-    & info [ "check" ]
-        ~doc:
-          "Run with executable invariants on: every quantum asserts \
-           scheduler causality (no task before its ready time, offline \
-           cores idle, per-core quantum ordering) and the machine model's \
-           conservation laws (fill-class counts sum to total accesses, \
-           memory-channel ring byte conservation, L3 way bounds). A \
-           violation aborts with exit code 3.")
 
 let cmd =
   let doc = "run a workload on the simulated chiplet machine under a runtime system" in
   Cmd.v
     (Cmd.info "charm_run" ~doc)
     Term.(
-      const main $ sys_arg $ machine_arg $ topology_arg $ workers_arg
-      $ cache_scale_arg $ workload_arg $ graph_scale_arg $ query_arg
-      $ seed_arg $ energy_arg $ energy_weight_arg $ power_cap_arg
-      $ trace_arg $ faults_arg $ check_arg)
+      const main $ Cli.common ~workers:64 $ workload_arg
+      $ Cli.graph_scale ~default:13 $ query_arg $ Cli.seed_opt)
 
 let () = exit (Cmd.eval cmd)

@@ -375,7 +375,6 @@ let run_fleet t (f : fleet_params) =
       relocation = f.frelocation;
       degraded_capacity = 0.75;
       degraded_sick = 0.25;
-      plant = None;
       trace = false;
     }
   in
@@ -698,17 +697,7 @@ let shrink t =
 
 (* -- rendering ----------------------------------------------------------- *)
 
-let sys_cli = function
-  | Systems.Charm -> "charm"
-  | Systems.Charm_os_threads -> "charm-async"
-  | Systems.Ring -> "ring"
-  | Systems.Dw_native -> "dw-native"
-  | Systems.Shoal -> "shoal"
-  | Systems.Asymsched -> "asymsched"
-  | Systems.Sam -> "sam"
-  | Systems.Os_default -> "os-default"
-  | Systems.Local_cache -> "local-cache"
-  | Systems.Distributed_cache -> "distributed-cache"
+let sys_cli sys = fst (List.find (fun (_, s) -> s = sys) Systems.cli_systems)
 
 (* machine CLI fragment, flag included: presets render as [-m NAME],
    custom machines inline their whole spec through [--topology] so the
@@ -769,8 +758,15 @@ let serve_frags t (p : serve_params) =
     p.rate_per_s p.jobs t.seed p.max_inflight p.queue_bound
     p.serve_graph_scale tenant_frags replica_frags energy_frags
 
+(* a planted bug is process state, not part of the scenario: name it so
+   the pasted line reproduces the violation *)
+let plant_frag () =
+  match Chipsim.Invariant.Plant.current () with
+  | Some k -> " --plant " ^ Chipsim.Invariant.Plant.name k
+  | None -> ""
+
 let to_repro t =
-  match t.kind with
+  (match t.kind with
   | Batch { workload; graph_scale } ->
       Printf.sprintf
         "charm_run %s -s %s %s -n %d --cache-scale %d --graph-scale %d \
@@ -797,7 +793,8 @@ let to_repro t =
         fault_frags
         (if f.fdiurnal > 0.0 then Printf.sprintf " --diurnal %g" f.fdiurnal
          else "")
-        (if f.frelocation then "" else " --no-relocation")
+        (if f.frelocation then "" else " --no-relocation"))
+  ^ plant_frag ()
 
 let describe t =
   let kind =

@@ -96,5 +96,6 @@ val describe : t -> string
 (** One-line summary for fuzzer progress output. *)
 
 val to_repro : t -> string
-(** The [charm_run] / [charm_serve] invocation (with [--check] and
-    [--faults]) that replays this scenario outside the fuzzer. *)
+(** The [charm_run] / [charm_serve] invocation (with [--check],
+    [--faults] and the active [--plant], if any) that replays this
+    scenario outside the fuzzer. *)

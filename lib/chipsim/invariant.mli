@@ -19,3 +19,32 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
 val require : bool -> string -> unit
 (** [require cond msg] raises [Violation msg] unless [cond].  Only for
     cold paths: [msg] is built eagerly. *)
+
+(** The planted-bug registry: deliberate defects that the invariant layer
+    must catch.  CI proves the checker detects them and the fuzzer
+    shrinks them; every CLI names them through [--plant].  At most one
+    plant is active at a time, process-wide; none is by default. *)
+module Plant : sig
+  type t =
+    | Skip_ready_clamp
+        (** the scheduler skips the ready-at causality clamp *)
+    | Vote_skip
+        (** the replica voter returns replica 0's token unchecked *)
+    | Drop_relocated
+        (** the fleet drops relocated jobs instead of re-routing them *)
+    | Route_offline
+        (** the fleet router prefers a fully-offline shard *)
+
+  val names : (string * t) list
+  (** CLI name of every kind ("skip-ready-clamp", ...). *)
+
+  val name : t -> string
+
+  val set : t option -> unit
+  (** Activate one plant, or clear it with [None]. *)
+
+  val active : t -> bool
+  (** Allocation-free; cheap enough for the scheduler's per-quantum path. *)
+
+  val current : unit -> t option
+end

@@ -27,13 +27,6 @@ let default_config =
     check = false;
   }
 
-(* Deliberately plantable bugs, enabled by CHARM_CHECK_PLANT, that the
-   invariant layer must catch — CI proves the checker detects and the
-   fuzzer shrinks them.  Read lazily so a harness can Unix.putenv before
-   the first quantum runs. *)
-let planted_skip_ready_clamp =
-  lazy (Sys.getenv_opt "CHARM_CHECK_PLANT" = Some "skip-ready-clamp")
-
 type t = {
   machine : Machine.t;
   config : config;
@@ -789,7 +782,11 @@ let check_quiescent t =
   Machine.check_invariants_full t.machine
 
 let execute t w task =
-  if task.ready_at > w.clock.(0) && not (Lazy.force planted_skip_ready_clamp) then
+  (* [--plant skip-ready-clamp] drops this clamp, a causality bug the
+     --check invariants must catch *)
+  if task.ready_at > w.clock.(0)
+     && not (Invariant.Plant.active Invariant.Plant.Skip_ready_clamp)
+  then
     w.clock.(0) <- task.ready_at;
   if t.check then check_quantum_start t w task;
   (* the quantum starts here, after the ready-time clamp: idle waiting and

@@ -10,12 +10,6 @@ module Job = Serving.Job
 module Trace = Engine.Trace
 module Rng = Engine.Rng
 
-type plant = Drop_relocated | Route_offline
-
-let plant_name = function
-  | Drop_relocated -> "drop-relocated"
-  | Route_offline -> "route-offline"
-
 type config = {
   n_shards : int;
   sys : Systems.sys;
@@ -31,7 +25,6 @@ type config = {
   relocation : bool;
   degraded_capacity : float;
   degraded_sick : float;
-  plant : plant option;
   trace : bool;
 }
 
@@ -51,7 +44,6 @@ let default_config ~seed =
     relocation = true;
     degraded_capacity = 0.75;
     degraded_sick = 0.25;
-    plant = None;
     trace = false;
   }
 
@@ -375,14 +367,13 @@ let run cfg =
     let forced =
       (* planted routing bug: aim at a fully-offline shard when one
          exists, to prove the no-offline-placement invariant fires *)
-      match cfg.plant with
-      | Some Route_offline ->
-          Array.fold_left
-            (fun acc (v : Router.view) ->
-              if acc = None && v.Router.capacity <= 0.0 then Some v.Router.shard
-              else acc)
-            None views
-      | _ -> None
+      if Chipsim.Invariant.Plant.(active Route_offline) then
+        Array.fold_left
+          (fun acc (v : Router.view) ->
+            if acc = None && v.Router.capacity <= 0.0 then Some v.Router.shard
+            else acc)
+          None views
+      else None
     in
     let target =
       match forced with
@@ -442,19 +433,16 @@ let run cfg =
           views.(s).Router.load_ns <-
             Float.max 0.0 (Session.backlog_ns sessions.(s) -. now);
           views.(s).Router.depth <- 0;
-          match cfg.plant with
-          | Some Drop_relocated ->
-              (* planted bug: relocated jobs vanish — fleet conservation
-                 must trip *)
-              ()
-          | _ ->
-              List.iter
-                (fun (r : Session.relocatable) ->
-                  incr relocations;
-                  place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
-                    ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
-                    ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
-                dropped
+          (* planted bug: relocated jobs vanish — fleet conservation
+             must trip *)
+          if not Chipsim.Invariant.Plant.(active Drop_relocated) then
+            List.iter
+              (fun (r : Session.relocatable) ->
+                incr relocations;
+                place ~now ~job_id:r.Session.r_id ~tenant:r.Session.r_tenant
+                  ~kind:r.Session.r_kind ~job_seed:r.Session.r_seed
+                  ~submit_ns:r.Session.r_submit_ns ~from_shard:s)
+              dropped
         end
       done
   in

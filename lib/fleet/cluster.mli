@@ -23,16 +23,6 @@
     Per-shard fault schedules ({!Faults.Schedule}) inject machine-level
     degradation mid-run. *)
 
-type plant =
-  | Drop_relocated
-      (** planted bug: relocated jobs vanish instead of being re-routed —
-          the fleet job-conservation invariant must trip *)
-  | Route_offline
-      (** planted bug: prefer a fully-offline shard when one exists — the
-          no-offline-placement invariant must trip *)
-
-val plant_name : plant -> string
-
 type config = {
   n_shards : int;
   sys : Harness.Systems.sys;
@@ -55,7 +45,6 @@ type config = {
           boundaries *)
   degraded_capacity : float;  (** relocate below this online capacity *)
   degraded_sick : float;  (** ... or at/above this sick-chiplet fraction *)
-  plant : plant option;  (** deliberate bug for invariant-gate tests *)
   trace : bool;
       (** allocate a router trace (pid 0) plus one per shard (pid s+1),
           returned in [result.traces] for {!Engine.Trace.save_merged} *)

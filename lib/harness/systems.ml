@@ -32,6 +32,23 @@ let sys_name = function
   | Local_cache -> "local-cache"
   | Distributed_cache -> "distributed-cache"
 
+let cli_systems =
+  [
+    ("charm", Charm);
+    ("charm-async", Charm_os_threads);
+    ("ring", Ring);
+    ("dw-native", Dw_native);
+    ("shoal", Shoal);
+    ("asymsched", Asymsched);
+    ("sam", Sam);
+    ("os-default", Os_default);
+    ("local-cache", Local_cache);
+    ("distributed-cache", Distributed_cache);
+  ]
+
+let cli_machines =
+  [ ("amd", Amd_milan); ("amd1s", Amd_milan_1s); ("intel", Intel_spr) ]
+
 let machine_name = function
   | Amd_milan -> "amd"
   | Amd_milan_1s -> "amd1s"
@@ -122,6 +139,8 @@ let make ?(cache_scale = 1) ?charm_config sys kind ~n_workers () =
       in
       { env; machine; charm = Some rt }
   | _ ->
+      (* a baseline ignores CHARM's knobs but still rejects bad ones *)
+      Option.iter (fun c -> Charm.Config.validate c topo) charm_config;
       let spec = baseline_spec ~kind sys in
       let profile = spec.Baselines.Baseline.profile_adjust (base_profile kind) in
       let machine = Machine.create ~profile topo in

@@ -34,6 +34,12 @@ val all_baseline_systems : sys list
 
 val sys_name : sys -> string
 
+val cli_systems : (string * sys) list
+(** Every system under its CLI name ([-s charm], [-s charm-async], ...). *)
+
+val cli_machines : (string * machine_kind) list
+(** The preset machines under their CLI names ([-m amd], ...). *)
+
 val machine_name : machine_kind -> string
 (** Short CLI name ("amd", "amd1s", "intel"; a [Custom]'s own name). *)
 
@@ -61,7 +67,10 @@ val make :
   n_workers:int ->
   unit ->
   instance
-(** @raise Invalid_argument if the machine cannot host [n_workers]. *)
+(** [charm_config] configures the CHARM systems; a baseline ignores it
+    but still validates it.
+    @raise Invalid_argument if the machine cannot host [n_workers] or
+    [charm_config] fails {!Charm.Config.validate}. *)
 
 val report : instance -> Engine.Stats.report
 (** End-of-run statistics (makespan = last run on the instance). *)

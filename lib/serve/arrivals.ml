@@ -8,7 +8,9 @@ let pp_process ppf = function
       Format.fprintf ppf "closed-loop %d clients, think %.0f ns" clients think_ns
 
 let poisson_times ~rng ~rate_per_s ~jobs =
-  if rate_per_s <= 0.0 then invalid_arg "Arrivals.poisson_times: rate <= 0";
+  (* written so NaN fails too: a NaN gap never advances the clock *)
+  if not (rate_per_s > 0.0 && Float.is_finite rate_per_s) then
+    invalid_arg "Arrivals.poisson_times: rate must be finite and > 0";
   if jobs < 0 then invalid_arg "Arrivals.poisson_times: jobs < 0";
   let mean_gap_ns = 1e9 /. rate_per_s in
   let times = Array.make jobs 0.0 in

@@ -23,4 +23,5 @@ val pp_process : Format.formatter -> process -> unit
 val poisson_times : rng:Engine.Rng.t -> rate_per_s:float -> jobs:int -> float array
 (** [jobs] arrival timestamps in virtual ns, strictly increasing from the
     first exponential gap onward.  Consumes [jobs] draws from [rng].
-    @raise Invalid_argument if [rate_per_s <= 0.] or [jobs < 0]. *)
+    @raise Invalid_argument unless [rate_per_s] is finite and positive,
+    or if [jobs < 0]. *)

@@ -153,7 +153,17 @@ let validate cfg =
       if t.mix = [] then invalid_arg "Server.run: empty job mix";
       if List.exists (fun (_, w) -> w <= 0) t.mix then
         invalid_arg "Server.run: non-positive mix weight";
-      if t.replicas < 1 then invalid_arg "Server.run: tenant replicas < 1")
+      if t.replicas < 1 then invalid_arg "Server.run: tenant replicas < 1";
+      (* comparisons are written so that NaN fails them *)
+      if not (t.slo_factor > 0.0 && Float.is_finite t.slo_factor) then
+        invalid_arg "Server.run: tenant slo_factor must be finite and > 0";
+      match t.process with
+      | Arrivals.Open_loop { rate_per_s } ->
+          if not (rate_per_s > 0.0 && Float.is_finite rate_per_s) then
+            invalid_arg "Server.run: open-loop rate must be finite and > 0"
+      | Arrivals.Closed_loop { think_ns; _ } ->
+          if not (think_ns >= 0.0 && Float.is_finite think_ns) then
+            invalid_arg "Server.run: closed-loop think time must be finite and >= 0")
     cfg.tenants
 
 (* End-of-run conservation: arrivals all accounted, every admitted job

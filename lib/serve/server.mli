@@ -110,7 +110,8 @@ type report = {
 val run : Harness.Systems.instance -> config -> report
 (** Run the full serving experiment on a fresh instance.
     @raise Invalid_argument on an empty tenant list, an empty mix,
-    [max_inflight < 1], or non-positive weights/jobs. *)
+    [max_inflight < 1], non-positive weights/jobs, or a NaN, infinite or
+    out-of-range SLO factor, open-loop rate or closed-loop think time. *)
 
 (** An externally-driven serving session — the fleet tier's view of one
     machine.

@@ -12,8 +12,14 @@ type t = {
   dst : int array;
 }
 
+val max_edge_entries : int
+(** 2^26: the largest [2 x edge_factor x 2^scale] (the symmetric CSR's
+    edge-array length) that {!generate} accepts — scale 21 at the
+    default edge factor 16. *)
+
 val generate : ?seed:int -> ?edge_factor:int -> scale:int -> unit -> t
-(** @raise Invalid_argument if [scale < 1] or [edge_factor < 1]. *)
+(** @raise Invalid_argument if [scale < 1], [edge_factor < 1], or the
+    graph exceeds {!max_edge_entries}. *)
 
 val num_vertices : t -> int
 val num_edges : t -> int

@@ -173,7 +173,12 @@ let test_cap_validation () =
   invalid "config nan cap" (fun () ->
       Charm.Config.validate
         { Charm.Config.default with power_cap_mw = Float.nan }
-        (Machine.topology m))
+        (Machine.topology m));
+  (* a baseline ignores CHARM's knobs but must not accept bad ones *)
+  invalid "baseline nan cap" (fun () ->
+      Sys_.make
+        ~charm_config:{ Charm.Config.default with power_cap_mw = Float.nan }
+        Sys_.Os_default Sys_.Amd_milan_1s ~n_workers:2 ())
 
 let test_power_estimate_golden () =
   let m = hetero () in

@@ -141,17 +141,26 @@ let test_router_skips_offline_shard () =
   Alcotest.(check int) "nothing shed at the router (shard 0 is up)" 0
     res.Cluster.router_shed
 
+let test_negative_shards_rejected () =
+  (* charm_serve --fleet -1 lands here; only 0 means single-machine *)
+  match Cluster.run { (base_config ~seed:1 ()) with Cluster.n_shards = -1 } with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "n_shards = -1 accepted"
+
 (* -- planted bugs: the invariants must catch them ----------------------- *)
+
+let with_plant kind f =
+  Chipsim.Invariant.Plant.set (Some kind);
+  Fun.protect ~finally:(fun () -> Chipsim.Invariant.Plant.set None) f
 
 let test_plant_drop_relocated_trips () =
   let cfg =
     {
       (base_config ~jobs:20 ~rate:12_000.0 ~seed:11 ()) with
       Cluster.faults = [ (0, quarter_speed_everywhere ~at_us:150.0) ];
-      plant = Some Cluster.Drop_relocated;
     }
   in
-  match Cluster.run cfg with
+  match with_plant Chipsim.Invariant.Plant.Drop_relocated (fun () -> Cluster.run cfg) with
   | _ -> Alcotest.fail "planted drop-relocated bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)
@@ -164,10 +173,9 @@ let test_plant_route_offline_trips () =
     {
       (base_config ~jobs:10 ~seed:5 ()) with
       Cluster.faults = [ (1, all_cores_off) ];
-      plant = Some Cluster.Route_offline;
     }
   in
-  match Cluster.run cfg with
+  match with_plant Chipsim.Invariant.Plant.Route_offline (fun () -> Cluster.run cfg) with
   | _ -> Alcotest.fail "planted route-offline bug was not caught"
   | exception Chipsim.Invariant.Violation msg ->
       Alcotest.(check bool)
@@ -276,6 +284,8 @@ let () =
           Alcotest.test_case "no-relocation flag" `Quick test_no_relocation_flag;
           Alcotest.test_case "router skips offline shard" `Quick
             test_router_skips_offline_shard;
+          Alcotest.test_case "negative shard count rejected" `Quick
+            test_negative_shards_rejected;
           Alcotest.test_case "planted drop-relocated trips" `Quick
             test_plant_drop_relocated_trips;
           Alcotest.test_case "planted route-offline trips" `Quick

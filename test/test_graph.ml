@@ -128,10 +128,22 @@ let prop_bfs_random_graphs =
       let levels, _ = Bfs.run e g ~source:0 in
       levels = Bfs.reference g ~source:0)
 
+let test_kronecker_size_bound () =
+  (* scale 40 used to die with Out_of_memory instead of a one-line error *)
+  Alcotest.(check bool) "bound admits the benchmarks' scale 16" true
+    (2 * 16 * (1 lsl 16) <= Kronecker.max_edge_entries);
+  List.iter
+    (fun scale ->
+      match Kronecker.generate ~scale () with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "scale %d accepted" scale)
+    [ 22; 40; 62 ]
+
 let suite =
   [
     Alcotest.test_case "kronecker shape" `Quick test_kronecker_shape;
     Alcotest.test_case "kronecker deterministic" `Quick test_kronecker_deterministic;
+    Alcotest.test_case "kronecker size bound" `Quick test_kronecker_size_bound;
     Alcotest.test_case "csr well-formed" `Quick test_csr_well_formed;
     Alcotest.test_case "bfs matches reference" `Quick test_bfs_matches_reference;
     Alcotest.test_case "sssp matches dijkstra" `Quick test_sssp_matches_dijkstra;

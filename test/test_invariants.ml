@@ -61,6 +61,31 @@ let test_backwards_clock_caught () =
   Alcotest.(check bool) "still enabled after violation" true
     (Sched.check_enabled sched)
 
+let test_planted_ready_clamp_caught () =
+  (* with the ready-at clamp planted away, an idle thief steals a task
+     due within its steal horizon and starts it early: causality breaks *)
+  let run () =
+    let sched = Sched.create (machine ()) ~n_workers:2 ~placement:(fun w -> w) in
+    Sched.set_check sched true;
+    (* worker 1 finishes its own short task near t = 100 ns, then steals
+       one of worker 0's tasks that are due a few hundred ns later *)
+    ignore (Sched.spawn sched ~worker:1 (fun ctx -> Sched.Ctx.work ctx 100.0));
+    List.iter
+      (fun at ->
+        ignore
+          (Sched.spawn sched ~worker:0 ~at (fun ctx -> Sched.Ctx.work ctx 5_000.0)))
+      [ 500.0; 600.0; 700.0 ];
+    ignore (Sched.run sched : float)
+  in
+  run ();
+  Invariant.Plant.set (Some Invariant.Plant.Skip_ready_clamp);
+  let caught =
+    Fun.protect ~finally:(fun () -> Invariant.Plant.set None) (fun () -> violation run)
+  in
+  match caught with
+  | Some _ -> ()
+  | None -> Alcotest.fail "planted skip-ready-clamp passed the causality check"
+
 let test_checked_serve_run () =
   let inst =
     Harness.Systems.make ~cache_scale:16 Harness.Systems.Charm
@@ -97,6 +122,8 @@ let suite =
     Alcotest.test_case "clean checked run passes" `Quick test_clean_checked_run;
     Alcotest.test_case "pmu tamper caught" `Quick test_pmu_tamper_caught;
     Alcotest.test_case "backwards clock caught" `Quick test_backwards_clock_caught;
+    Alcotest.test_case "planted ready clamp caught" `Quick
+      test_planted_ready_clamp_caught;
     Alcotest.test_case "checked serve run passes" `Quick test_checked_serve_run;
     Alcotest.test_case "catalog nonempty" `Quick test_catalog_nonempty;
   ]

@@ -71,8 +71,8 @@ let test_empty_group_invalid () =
   invalid "vote" (fun () -> Replica.vote [||])
 
 let with_plant kind f =
-  Unix.putenv "CHARM_CHECK_PLANT" kind;
-  Fun.protect ~finally:(fun () -> Unix.putenv "CHARM_CHECK_PLANT" "") f
+  Chipsim.Invariant.Plant.set (Some kind);
+  Fun.protect ~finally:(fun () -> Chipsim.Invariant.Plant.set None) f
 
 let test_vote_and_plant () =
   let tok = Replica.token ~job_seed:5 ~kind:"tpch" in
@@ -80,9 +80,9 @@ let test_vote_and_plant () =
   let group = [| bad; tok; tok |] in
   Alcotest.(check t64) "honest vote equals the plurality" tok
     (Replica.vote group);
-  (* the planted bug returns replica 0 unchecked; the env var is read per
+  (* the planted bug returns replica 0 unchecked; the registry is read per
      call, so the defect switches on and off with it *)
-  with_plant "vote-skip" (fun () ->
+  with_plant Chipsim.Invariant.Plant.Vote_skip (fun () ->
       Alcotest.(check t64) "planted voter returns replica 0" bad
         (Replica.vote group));
   Alcotest.(check t64) "plant off again after restore" tok
@@ -226,7 +226,7 @@ let test_server_clean_replication_agrees () =
 let test_server_detects_planted_voter () =
   (* the replica-agreement invariant must catch vote-skip: the corrupted
      replica 0 wins the planted vote while the honest plurality disagrees *)
-  with_plant "vote-skip" (fun () ->
+  with_plant Chipsim.Invariant.Plant.Vote_skip (fun () ->
       let inst = replicated_inst () in
       Modifiers.arm_corruption (Machine.modifiers inst.Sys_.machine) ~seed:6;
       match Server.run inst (replicated_cfg ~check:true 17) with

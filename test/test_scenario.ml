@@ -80,6 +80,21 @@ let test_repro_rendering () =
   Alcotest.(check bool) "all scenario kinds exercised" true
     (!seen_batch && !seen_serve && !seen_fleet)
 
+let test_repro_names_plant () =
+  (* the plant is process state outside the scenario: without it on the
+     line a pasted repro would run clean *)
+  let module Plant = Chipsim.Invariant.Plant in
+  let t = Scenario.generate ~mode:Scenario.Smoke ~seed:0 in
+  let suffix = " --plant vote-skip" in
+  Alcotest.(check bool) "no plant, no flag" false
+    (String.ends_with ~suffix (Scenario.to_repro t));
+  Plant.set (Some Plant.Vote_skip);
+  let repro =
+    Fun.protect ~finally:(fun () -> Plant.set None) (fun () -> Scenario.to_repro t)
+  in
+  Alcotest.(check bool) ("repro names the plant: " ^ repro) true
+    (String.ends_with ~suffix repro)
+
 let test_fault_spec_roundtrip () =
   let t = scenario_with_faults () in
   let topo =
@@ -97,5 +112,6 @@ let suite =
     Alcotest.test_case "smoke seeds clean" `Slow test_smoke_seeds_clean;
     Alcotest.test_case "shrink candidates well-formed" `Quick test_shrink_candidates;
     Alcotest.test_case "repro rendering" `Quick test_repro_rendering;
+    Alcotest.test_case "repro names the plant" `Quick test_repro_names_plant;
     Alcotest.test_case "fault specs round-trip" `Quick test_fault_spec_roundtrip;
   ]

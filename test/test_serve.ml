@@ -36,6 +36,43 @@ let test_poisson_shape () =
   Alcotest.(check bool) "mean gap near 1/rate" true
     (mean_gap > 0.9e6 && mean_gap < 1.1e6)
 
+(* -- input boundary: rejected before any simulation runs --------------- *)
+
+let rejects name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: accepted" name
+
+let run_tenant f =
+  let inst = Sys_.make ~cache_scale:16 Sys_.Charm Sys_.Amd_milan_1s ~n_workers:2 () in
+  let base = Server.default_config ~seed:1 in
+  let tenant = f (List.hd base.Server.tenants) in
+  ignore (Server.run inst { base with Server.tenants = [ tenant ] } : Server.report)
+
+let test_nan_rate_rejected () =
+  (* a NaN gap never advances the arrival clock: this used to hang *)
+  rejects "poisson_times" (fun () ->
+      Arrivals.poisson_times ~rng:(Engine.Rng.create 1) ~rate_per_s:Float.nan
+        ~jobs:4);
+  rejects "server" (fun () ->
+      run_tenant (fun t ->
+          { t with Server.process = Arrivals.Open_loop { rate_per_s = Float.nan } }))
+
+let test_bad_slo_rejected () =
+  List.iter
+    (fun slo_factor ->
+      rejects (Printf.sprintf "slo factor %g" slo_factor) (fun () ->
+          run_tenant (fun t -> { t with Server.slo_factor })))
+    [ -1.0; 0.0; Float.nan ]
+
+let test_negative_think_rejected () =
+  rejects "think time -1 us" (fun () ->
+      run_tenant (fun t ->
+          {
+            t with
+            Server.process = Arrivals.Closed_loop { clients = 2; think_ns = -1000.0 };
+          }))
+
 (* -- histogram --------------------------------------------------------- *)
 
 let test_histogram_quantiles () =
@@ -328,6 +365,10 @@ let suite =
   [
     Alcotest.test_case "poisson deterministic" `Quick test_poisson_deterministic;
     Alcotest.test_case "poisson shape" `Quick test_poisson_shape;
+    Alcotest.test_case "nan rate rejected" `Quick test_nan_rate_rejected;
+    Alcotest.test_case "bad slo factor rejected" `Quick test_bad_slo_rejected;
+    Alcotest.test_case "negative think time rejected" `Quick
+      test_negative_think_rejected;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram p999" `Quick test_histogram_p999;
