@@ -12,7 +12,14 @@
    deterministic per scenario (equal seeds), so only wall-clock varies
    across runs and machines; each scenario runs [reps] times on a fresh
    machine (cold caches, per the paper's methodology) and reports the best
-   rep to damp scheduler noise. *)
+   rep to damp scheduler noise.
+
+   Each row also carries [alloc_words_per_event]: minor-heap words
+   allocated in the timed part per simulated event.  Unlike wall-clock it
+   repeats exactly for one build profile and compiler, so CI gates it
+   tightly against the committed file.  The committed values come from
+   the default dev profile, which CI uses; a release build allocates
+   less (cross-module inlining unboxes more floats). *)
 
 open Chipsim
 module Sched = Engine.Sched
@@ -46,6 +53,7 @@ let run_batch () =
   let machine = Machine.create topo in
   let sched = Sched.create machine ~n_workers:16 ~placement:(fun w -> w) in
   let region = Machine.alloc machine ~elt_bytes:8 ~count:batch_rows () in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   ignore
     (Sched.spawn sched ~worker:0 (fun ctx ->
@@ -74,7 +82,8 @@ let run_batch () =
       : Sched.task);
   let makespan = Sched.run sched in
   let wall = Unix.gettimeofday () -. t0 in
-  (engine_events machine, wall, makespan)
+  let words = Gc.minor_words () -. w0 in
+  (engine_events machine, wall, makespan, words)
 
 (* -- serve: the charm_serve configuration at a fixed load on one machine *)
 
@@ -94,10 +103,12 @@ let run_serve () =
           base.Server.tenants;
     }
   in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let r = Server.run inst cfg in
   let wall = Unix.gettimeofday () -. t0 in
-  (engine_events inst.Sys_.machine, wall, r.Server.makespan_ns)
+  let words = Gc.minor_words () -. w0 in
+  (engine_events inst.Sys_.machine, wall, r.Server.makespan_ns, words)
 
 (* -- fleet: a small cluster (event counts multiplied by N shards) *)
 
@@ -124,29 +135,31 @@ let run_fleet () =
       serve = { serve with Server.tenants; check = false };
     }
   in
+  let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let res = Cluster.run cfg in
   let wall = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. w0 in
   let events =
     List.fold_left
       (fun acc (sr : Cluster.shard_result) -> acc + sr.Cluster.sim_events)
       0 res.Cluster.shard_results
   in
-  (events, wall, res.Cluster.makespan_ns)
+  (events, wall, res.Cluster.makespan_ns, words)
 
 let scenarios =
   [ ("batch", run_batch); ("serve", run_serve); ("fleet", run_fleet) ]
 
 let run () =
   Util.section "Core - engine throughput (simulated events/sec per scenario)";
-  Util.row "  %-8s %12s %9s %14s %12s\n" "scenario" "events" "wall(s)"
-    "events/sec" "makespan(us)";
+  Util.row "  %-8s %12s %9s %14s %12s %12s\n" "scenario" "events" "wall(s)"
+    "events/sec" "makespan(us)" "words/event";
   List.iter
     (fun (name, f) ->
       let best = ref None in
       let events0 = ref 0 in
       for _ = 1 to reps do
-        let events, wall, makespan = f () in
+        let events, wall, makespan, words = f () in
         if !events0 = 0 then events0 := events
         else if !events0 <> events then begin
           Printf.eprintf
@@ -155,13 +168,14 @@ let run () =
           exit 1
         end;
         match !best with
-        | Some (w, _) when w <= wall -> ()
-        | _ -> best := Some (wall, makespan)
+        | Some (w, _, _) when w <= wall -> ()
+        | _ -> best := Some (wall, makespan, words)
       done;
-      let wall, makespan = Option.get !best in
+      let wall, makespan, words = Option.get !best in
       let eps = float_of_int !events0 /. Float.max 1e-9 wall in
-      Util.row "  %-8s %12d %9.3f %14.0f %12.1f\n" name !events0 wall eps
-        (makespan /. 1e3);
+      let words_per_event = words /. float_of_int !events0 in
+      Util.row "  %-8s %12d %9.3f %14.0f %12.1f %12.4f\n" name !events0 wall eps
+        (makespan /. 1e3) words_per_event;
       Util.json_row ~experiment:"core"
         [
           ("scenario", Util.json_str name);
@@ -169,5 +183,6 @@ let run () =
           ("wall_s", Util.json_num wall);
           ("events_per_s", Util.json_num eps);
           ("makespan_us", Util.json_num (makespan /. 1e3));
+          ("alloc_words_per_event", Util.json_num words_per_event);
         ])
     scenarios

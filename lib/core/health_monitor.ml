@@ -47,6 +47,7 @@ type t = {
   machine : Machine.t;
   chiplets : chiplet_state array;
   workers : worker_state array;
+  scratch : float array;  (* [median_ewma]'s sort buffer, one slot per chiplet *)
   mutable mods_generation : int;
   mutable first_flag_ns : float option;
   mutable events : event list;  (* newest first *)
@@ -72,6 +73,7 @@ let create machine ~n_workers =
     workers =
       Array.init n_workers (fun _ ->
           { last_core = -1; last_mem_ns = 0.0; last_accesses = 0 });
+    scratch = Array.make (Topology.num_chiplets topo) 0.0;
     mods_generation = -1;
     first_flag_ns = None;
     events = [];
@@ -134,18 +136,27 @@ let sync_os_visible t ~now =
       t.chiplets
   end
 
-let median_ewma t =
-  let vals =
-    Array.of_seq
-      (Seq.filter_map
-         (fun c -> if c.samples >= min_samples then Some c.ewma else None)
-         (Array.to_seq t.chiplets))
-  in
-  if Array.length vals < 2 then None
-  else begin
-    Array.sort compare vals;
-    Some vals.(Array.length vals / 2)
-  end
+(* Median fast EWMA of the chiplets with enough samples to be judged, or
+   0.0 when fewer than two have (no peers to compare against).  The
+   eligible values are insertion-sorted into [t.scratch], and the function
+   inlines into [judge], so neither the buffer nor the result allocates. *)
+let[@inline] median_ewma t =
+  let vals = t.scratch in
+  let n = ref 0 in
+  for c = 0 to Array.length t.chiplets - 1 do
+    let st = t.chiplets.(c) in
+    if st.samples >= min_samples then begin
+      let v = st.ewma in
+      let j = ref !n in
+      while !j > 0 && Float.compare vals.(!j - 1) v > 0 do
+        vals.(!j) <- vals.(!j - 1);
+        decr j
+      done;
+      vals.(!j) <- v;
+      incr n
+    end
+  done;
+  if !n < 2 then 0.0 else vals.(!n / 2)
 
 let judge t ~chiplet ~now =
   let st = t.chiplets.(chiplet) in
@@ -169,13 +180,14 @@ let judge t ~chiplet ~now =
       else st.healthy_streak <- 0
     end
     else begin
-      let jumped = st.ewma > jump_ratio *. st.baseline in
-      let outlier =
-        match median_ewma t with
-        | Some med when med > 0.0 -> st.ewma > sick_ratio *. med
-        | _ -> true  (* too few peers to compare: trust the jump test *)
-      in
-      if jumped && outlier then begin
+      (* the median is needed only once the jump test has passed *)
+      if
+        st.ewma > jump_ratio *. st.baseline
+        &&
+        let med = median_ewma t in
+        (* no peers to compare (median 0): trust the jump test *)
+        if med > 0.0 then st.ewma > sick_ratio *. med else true
+      then begin
         st.strikes <- st.strikes + 1;
         if st.strikes >= strike_limit then flag t ~chiplet ~sick:true ~at_ns:now
       end

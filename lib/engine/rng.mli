@@ -1,7 +1,10 @@
 (** Deterministic splittable PRNG (splitmix64).
 
     Every simulated component owns its own stream so experiment results are
-    reproducible regardless of scheduling order. *)
+    reproducible regardless of scheduling order.
+
+    The state is held unboxed, so [int] and [bool] draws allocate nothing;
+    [float] and [next] allocate at most their boxed result. *)
 
 type t
 

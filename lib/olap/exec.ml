@@ -91,24 +91,16 @@ module Hash_agg = struct
       width;
     }
 
-  let update ctx t ~key deltas =
+  let row ctx t ~key =
     let b = bucket_of ~capacity:t.capacity key in
     Sched.Ctx.read ctx t.slab b;
     Sched.Ctx.write ctx t.slab b;
-    let acc =
-      match Hashtbl.find_opt t.table key with
-      | Some acc -> acc
-      | None ->
-          let acc = Array.make t.width 0.0 in
-          Hashtbl.add t.table key acc;
-          acc
-    in
-    List.iter
-      (fun (slot, v) ->
-        if slot < 0 || slot >= t.width then
-          invalid_arg "Hash_agg.update: slot out of range";
-        acc.(slot) <- acc.(slot) +. v)
-      deltas
+    match Hashtbl.find t.table key with
+    | acc -> acc
+    | exception Not_found ->
+        let acc = Array.make t.width 0.0 in
+        Hashtbl.add t.table key acc;
+        acc
 
   let get t ~key = Hashtbl.find_opt t.table key
   let fold t f init = Hashtbl.fold f t.table init

@@ -43,10 +43,13 @@ module Hash_agg : sig
   val create : alloc:alloc -> expected:int -> width:int -> t
   (** [width] accumulators per group. *)
 
-  val update :
-    Engine.Sched.ctx -> t -> key:int -> (int * float) list -> unit
-  (** Add deltas to accumulator slots of the key's group, creating it on
-      first touch (count-style slots pass [(slot, 1.0)]). *)
+  val row : Engine.Sched.ctx -> t -> key:int -> float array
+  (** The key's accumulator row (length [width]), charged as one bucket
+      read and write and created zeroed on first touch.  Callers add to
+      its slots in place ([a.(s) <- a.(s) +. v]; count-style slots add
+      [1.0]); the row is the group's state, so no delta list is built.
+      An out-of-range slot raises [Invalid_argument] like any array
+      access. *)
 
   val get : t -> key:int -> float array option
   val fold : t -> (int -> float array -> 'a -> 'a) -> 'a -> 'a

@@ -38,16 +38,25 @@ let test_hash_agg_accumulates () =
   let acc =
     in_task e (fun ctx ->
         let agg = Olap.Exec.Hash_agg.create ~alloc ~expected:8 ~width:2 in
-        Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (0, 2.0); (1, 1.0) ];
-        Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (0, 3.0); (1, 1.0) ];
-        Olap.Exec.Hash_agg.update ctx agg ~key:2 [ (0, 10.0) ];
+        let add key slot v =
+          let a = Olap.Exec.Hash_agg.row ctx agg ~key in
+          a.(slot) <- a.(slot) +. v
+        in
+        add 1 0 2.0;
+        add 1 1 1.0;
+        add 1 0 3.0;
+        add 1 1 1.0;
+        add 2 0 10.0;
+        let again = Olap.Exec.Hash_agg.row ctx agg ~key:1 in
         ( Olap.Exec.Hash_agg.get agg ~key:1,
+          again,
           Olap.Exec.Hash_agg.groups agg,
           Olap.Exec.Hash_agg.fold agg (fun _ a s -> s +. a.(0)) 0.0 ))
   in
-  let one, groups, total = acc in
+  let one, again, groups, total = acc in
   (match one with
   | Some a ->
+      Alcotest.(check bool) "row is the group's state" true (a == again);
       Alcotest.(check (float 0.001)) "sum slot 0" 5.0 a.(0);
       Alcotest.(check (float 0.001)) "count slot 1" 2.0 a.(1)
   | None -> Alcotest.fail "group missing");
@@ -61,7 +70,8 @@ let test_hash_agg_bad_slot () =
     in_task e (fun ctx ->
         let agg = Olap.Exec.Hash_agg.create ~alloc ~expected:8 ~width:1 in
         try
-          Olap.Exec.Hash_agg.update ctx agg ~key:1 [ (1, 1.0) ];
+          let a = Olap.Exec.Hash_agg.row ctx agg ~key:1 in
+          a.(1) <- a.(1) +. 1.0;
           false
         with Invalid_argument _ -> true)
   in

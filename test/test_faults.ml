@@ -177,6 +177,91 @@ let test_silent_fault_detected () =
   Alcotest.(check bool) "first_flag_ns recorded" true
     (Charm.Health_monitor.first_flag_ns monitor <> None)
 
+(* Three observed chiplets (0, 1, 2), each paired with a peer core on a
+   chiplet no one observes (4, 5, 6) and its own line set, so a link step
+   on one observed chiplet slows only that chiplet's fills.  With three
+   chiplets judged the cross-chiplet median exists, so the outlier test
+   runs whenever the jump test passes. *)
+let observed_chiplets = [| 0; 1; 2 |]
+
+let peer_traffic_round m ~monitor ~round =
+  Array.iteri
+    (fun worker chiplet ->
+      let observed = chiplet * 8 and peer = (chiplet + 4) * 8 in
+      let lines = 1000 * (worker + 1) in
+      let now = ref (float_of_int round *. 50_000.0) in
+      for line = lines to lines + 63 do
+        now := !now +. Machine.access_line m ~core:peer ~now_ns:!now ~write:true ~line
+      done;
+      for line = lines to lines + 63 do
+        now :=
+          !now +. Machine.access_line m ~core:observed ~now_ns:!now ~write:true ~line
+      done;
+      Charm.Health_monitor.observe monitor ~worker ~core:observed ~now:!now)
+    observed_chiplets
+
+let warmed_up_monitor () =
+  let m = machine () in
+  let monitor =
+    Charm.Health_monitor.create m ~n_workers:(Array.length observed_chiplets)
+  in
+  for round = 0 to 9 do
+    peer_traffic_round m ~monitor ~round
+  done;
+  Alcotest.(check (list int)) "healthy under baseline traffic" []
+    (Charm.Health_monitor.sick_chiplets monitor);
+  (m, monitor)
+
+let test_machine_wide_step_not_flagged () =
+  let m, monitor = warmed_up_monitor () in
+  (* every chiplet jumps at once: each one's fast EWMA leaves its own
+     baseline, but none stands out from the median *)
+  let ewmas () =
+    Array.map (fun chiplet -> Charm.Health_monitor.ewma monitor ~chiplet)
+      observed_chiplets
+  in
+  let before = ewmas () in
+  let mods = Machine.modifiers m in
+  for c = 0 to Topology.num_chiplets (Machine.topology m) - 1 do
+    Modifiers.set_link_mult mods c 8.0
+  done;
+  for round = 10 to 40 do
+    peer_traffic_round m ~monitor ~round
+  done;
+  (* every EWMA passed the jump test, so only the median kept them unflagged *)
+  Array.iteri
+    (fun i after ->
+      Alcotest.(check bool)
+        (Printf.sprintf "chiplet %d jumped (%.1f -> %.1f ns)" observed_chiplets.(i)
+           before.(i) after)
+        true
+        (after > 2.0 *. before.(i)))
+    (ewmas ());
+  Alcotest.(check (list int)) "no chiplet flagged" []
+    (Charm.Health_monitor.sick_chiplets monitor)
+
+let test_single_chiplet_step_flagged () =
+  let m, monitor = warmed_up_monitor () in
+  Modifiers.set_link_mult (Machine.modifiers m) 1 8.0;
+  let detected_after = ref None in
+  (try
+     for round = 10 to 40 do
+       peer_traffic_round m ~monitor ~round;
+       if Charm.Health_monitor.sick_chiplets monitor <> [] then begin
+         detected_after := Some (round - 10);
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  match !detected_after with
+  | Some rounds ->
+      Alcotest.(check bool)
+        (Printf.sprintf "detected within 10 samples (took %d)" rounds)
+        true (rounds <= 10);
+      Alcotest.(check (list int)) "exactly the stepped chiplet" [ 1 ]
+        (Charm.Health_monitor.sick_chiplets monitor)
+  | None -> Alcotest.fail "single-chiplet link fault never detected"
+
 let test_os_visible_fault_instant () =
   let m = machine () in
   let monitor = Charm.Health_monitor.create m ~n_workers:1 in
@@ -244,6 +329,10 @@ let suite =
     Alcotest.test_case "core-on restores" `Quick test_core_on_restores;
     Alcotest.test_case "dvfs scales makespan" `Quick test_dvfs_scales_makespan;
     Alcotest.test_case "silent fault detected" `Quick test_silent_fault_detected;
+    Alcotest.test_case "machine-wide step not flagged" `Quick
+      test_machine_wide_step_not_flagged;
+    Alcotest.test_case "one chiplet's step flagged" `Quick
+      test_single_chiplet_step_flagged;
     Alcotest.test_case "os-visible fault instant" `Quick
       test_os_visible_fault_instant;
     Alcotest.test_case "faulted serve deterministic" `Quick
