@@ -150,6 +150,17 @@ let run_fleet () =
 let scenarios =
   [ ("batch", run_batch); ("serve", run_serve); ("fleet", run_fleet) ]
 
+(* [bench diff] against BENCH_core.json: event counts and makespans are
+   deterministic (equal seeds), so any drift is a semantic change and
+   fails.  events/sec is wall-clock and runner-dependent, so it gates
+   loosely: a scenario running >20% slower fails.  Minor words per event
+   repeat exactly for one compiler and build profile, so they gate
+   tightly: more than 2% above the baseline fails. *)
+let diff_schema =
+  { Bench_diff.experiment = "core"; identity = [ "scenario" ];
+    exact = [ "events"; "makespan_us" ]; info = [];
+    gates = [ Min_ratio ("events_per_s", 0.8); Max_ratio ("alloc_words_per_event", 1.02) ] }
+
 let run () =
   Util.section "Core - engine throughput (simulated events/sec per scenario)";
   Util.row "  %-8s %12s %9s %14s %12s %12s\n" "scenario" "events" "wall(s)"
@@ -178,7 +189,7 @@ let run () =
         (makespan /. 1e3) words_per_event;
       Util.json_row ~experiment:"core"
         [
-          ("scenario", Util.json_str name);
+          ("scenario", Engine.Json.str name);
           ("events", string_of_int !events0);
           ("wall_s", Util.json_num wall);
           ("events_per_s", Util.json_num eps);

@@ -84,6 +84,14 @@ let run_one ~policy ~rate =
   let res = Cluster.run (config ~policy ~rate) in
   (res, Unix.gettimeofday () -. t0)
 
+(* [bench diff] against BENCH_fleet.json: job outcomes, relocations and
+   the makespan are simulated and must reproduce on equal seeds; tail
+   latency and wall-clock are printed *)
+let diff_schema =
+  { Bench_diff.experiment = "fleet"; identity = [ "policy"; "rate_per_tenant" ];
+    exact = [ "completed"; "shed"; "relocations"; "makespan_us" ]; info = [ "p99_us"; "wall_s" ];
+    gates = [] }
+
 let run () =
   Util.section
     (Printf.sprintf
@@ -115,7 +123,7 @@ let run () =
             (p99 /. 1e3) completed shed res.Cluster.relocations wall;
           Util.json_row ~experiment:"fleet"
             [
-              ("policy", Util.json_str name);
+              ("policy", Engine.Json.str name);
               ("rate_per_tenant", Util.json_num rate);
               ("shards", string_of_int n_shards);
               ("p50_us", Util.json_num (Histogram.p50 h /. 1e3));

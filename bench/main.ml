@@ -6,7 +6,13 @@
    machine-readable result rows for experiments that emit them (currently:
    fleet, taskgraph, power and core, whose committed baselines
    BENCH_fleet.json / BENCH_taskgraph.json / BENCH_power.json /
-   BENCH_core.json CI diffs against). *)
+   BENCH_core.json CI diffs against).
+
+   [diff OLD NEW] instead compares two such files under the schema the
+   rows' experiment declares (see {!Bench_diff}); it exits 1 when a gate
+   fails and 2 on a bad file or an experiment without a schema. *)
+
+open Bench
 
 let experiments =
   [
@@ -34,34 +40,37 @@ let experiments =
     ("core", Core_bench.run);
   ]
 
+let diff_schemas =
+  [ Core_bench.diff_schema; Power_bench.diff_schema; Taskgraph_bench.diff_schema;
+    Fleet_bench.diff_schema ]
+
+(* [split_flag flag args] removes the first [flag VALUE] pair from [args] *)
+let split_flag flag args =
+  let rec go acc = function
+    | f :: v :: rest when f = flag -> (Some v, List.rev_append acc rest)
+    | a :: rest -> go (a :: acc) rest
+    | [] -> (None, List.rev acc)
+  in
+  go [] args
+
 let () =
+  let args = List.tl (Array.to_list Sys.argv) in
+  (match args with
+  | [ "diff"; old_file; new_file ] -> exit (Bench_diff.run diff_schemas old_file new_file)
+  | "diff" :: _ -> prerr_endline "bench diff: usage: diff OLD.json NEW.json"; exit 2
+  | _ -> ());
   (* [--trace FILE] attaches one shared trace sink to every instance the
      requested experiments build and writes the Chrome-trace JSON at the
-     end; remaining arguments select experiments *)
-  let args = List.tl (Array.to_list Sys.argv) in
-  let rec split_trace acc = function
-    | "--trace" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> split_trace (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  (* [--json FILE] collects machine-readable result rows from every
-     experiment that emits them and writes one JSON document at the end *)
-  let rec split_json acc = function
-    | "--json" :: file :: rest -> (Some file, List.rev_append acc rest)
-    | a :: rest -> split_json (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  (* [--topology SPEC] re-runs the requested figures on a data-driven
-     topology (file path or inline spec) instead of their preset machine *)
-  let rec split_topology acc = function
-    | "--topology" :: spec :: rest -> (Some spec, List.rev_append acc rest)
-    | a :: rest -> split_topology (a :: acc) rest
-    | [] -> (None, List.rev acc)
-  in
-  let trace_file, args = split_trace [] args in
-  let json_file, args = split_json [] args in
-  let topology_spec, names = split_topology [] args in
+     end; [--json FILE] collects machine-readable result rows from every
+     experiment that emits them and writes one JSON document at exit;
+     [--topology SPEC] re-runs the requested figures on a data-driven
+     topology (file path or inline spec) instead of their preset machine;
+     remaining arguments select experiments *)
+  let trace_file, args = split_flag "--trace" args in
+  let json_file, args = split_flag "--json" args in
+  let topology_spec, names = split_flag "--topology" args in
   Util.json_sink := json_file;
+  at_exit Util.json_write;
   (match topology_spec with
   | None -> ()
   | Some spec -> (
@@ -93,6 +102,5 @@ let () =
       Printf.printf "\nwrote %d trace events to %s\n%s"
         (Engine.Trace.num_events tr) file (Engine.Trace.summary tr)
   | _ -> ());
-  Util.json_write ();
   Printf.printf "\nAll requested experiments finished in %.1fs.\n"
     (Unix.gettimeofday () -. t0)

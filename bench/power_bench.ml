@@ -126,6 +126,14 @@ let tenant_report (report : Server.report) name =
     (fun (tr : Server.tenant_report) -> tr.Server.tenant = name)
     report.Server.tenant_reports
 
+(* [bench diff] against BENCH_power.json: event-count drift is a semantic
+   change and fails; watts may move with intended scheduler changes, but
+   a runtime drawing >20% more average power fails *)
+let diff_schema =
+  { Bench_diff.experiment = "power"; identity = [ "runtime" ];
+    exact = [ "events" ]; info = [ "graph_p99_us" ];
+    gates = [ Max_ratio ("avg_power_mw", 1.2) ] }
+
 let run () =
   Util.section
     (Printf.sprintf
@@ -158,7 +166,7 @@ let run () =
         wall;
       Util.json_row ~experiment:"power"
         [
-          ("runtime", Util.json_str name);
+          ("runtime", Engine.Json.str name);
           ("rate_per_tenant", Util.json_num rate);
           ("workers", string_of_int n_workers);
           ("graph_p50_us", Util.json_num (Histogram.p50 graph.Server.latency /. 1e3));

@@ -100,6 +100,13 @@ let tenant_report (report : Server.report) name =
     (fun (tr : Server.tenant_report) -> tr.Server.tenant = name)
     report.Server.tenant_reports
 
+(* [bench diff] against BENCH_taskgraph.json: event-count drift is a
+   semantic change and fails; tail latency and wall-clock are printed *)
+let diff_schema =
+  { Bench_diff.experiment = "taskgraph"; identity = [ "mapper"; "rate_per_tenant" ];
+    exact = [ "events" ]; info = [ "infer_p99_us"; "wall_s" ];
+    gates = [] }
+
 let run () =
   Util.section
     (Printf.sprintf
@@ -137,7 +144,7 @@ let run () =
             completed shed events wall;
           Util.json_row ~experiment:"taskgraph"
             [
-              ("mapper", Util.json_str name);
+              ("mapper", Engine.Json.str name);
               ("rate_per_tenant", Util.json_num rate);
               ("workers", string_of_int n_workers);
               ( "infer_p50_us",

@@ -22,22 +22,16 @@ let attach_trace inst =
 
 (* Optional machine-readable sink: set by the driver's [--json FILE] flag;
    experiments append flat rows of pre-rendered JSON values alongside their
-   human tables, and the driver writes the file once at the end.  The
-   committed BENCH_*.json baselines and the CI bench-diff step read this. *)
+   human tables, and the driver writes the file once at exit, so a bench
+   that fails its verdict still leaves its rows.  [bench diff] (see
+   {!Bench_diff}) compares such a file with a committed BENCH_*.json. *)
 let json_sink : string option ref = ref None
 let json_rows : string list ref = ref []
-let json_str s = Printf.sprintf "%S" s
 let json_num f = Printf.sprintf "%.6g" f
 
 let json_row ~experiment kvs =
   if !json_sink <> None then
-    json_rows :=
-      Printf.sprintf "{%s}"
-        (String.concat ","
-           (List.map
-              (fun (k, v) -> Printf.sprintf "%S:%s" k v)
-              (("experiment", json_str experiment) :: kvs)))
-      :: !json_rows
+    json_rows := Engine.Json.obj (("experiment", Engine.Json.str experiment) :: kvs) :: !json_rows
 
 let json_write () =
   match !json_sink with

@@ -23,8 +23,9 @@ type t = {
   initial_spread : int;  (** initial [spread_rate]; paper initialises to 1 *)
   rebind_memory_on_migrate : bool;
       (** re-home a worker's bound regions when it crosses sockets *)
-  profile_while_running : bool;  (** profiler active (5–10%% overhead) *)
-  profiler_overhead_ns : float;  (** charged per profiling check *)
+  profile_while_running : bool;
+      (** profiler active (5–10%% overhead): every quantum-end check
+          charges the worker a fixed 40 ns *)
   chiplet_first_steal : bool;
       (** steal from same-chiplet victims first (paper §4.4); [false]
           switches to random victims (ablation) *)

@@ -15,6 +15,9 @@ type t = {
   mutable makespan : float;
 }
 
+(* charged to the worker per profiling check *)
+let profiler_overhead_ns = 40.0
+
 let init ?(config = Config.default) ?(sched_config = Sched.default_config)
     machine ~n_workers =
   let topo = Machine.topology machine in
@@ -104,7 +107,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
               | _ -> ())
           | None -> ());
           if config.Config.profile_while_running then begin
-            Sched.charge sched ~worker config.Config.profiler_overhead_ns;
+            Sched.charge sched ~worker profiler_overhead_ns;
             (* health first: the policy tick right after should already
                see a freshly flagged chiplet *)
             Health_monitor.observe health ~worker

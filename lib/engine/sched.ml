@@ -6,26 +6,21 @@ type task_model =
   | Coroutines of { switch_ns : float }
   | Os_threads of { spawn_ns : float; switch_ns : float }
 
-type config = {
-  task_model : task_model;
-  steal_enabled : bool;
-  max_accesses_per_quantum : int;
-  idle_quantum_ns : float;
-  migration_cost_ns : float;
-  steal_horizon_ns : float;
-  check : bool;
-}
+type config = { task_model : task_model; steal_enabled : bool; check : bool }
 
 let default_config =
-  {
-    task_model = Coroutines { switch_ns = 30.0 };
-    steal_enabled = true;
-    max_accesses_per_quantum = 2048;
-    idle_quantum_ns = 400.0;
-    migration_cost_ns = 1500.0;
-    steal_horizon_ns = 1_000.0;
-    check = false;
-  }
+  { task_model = Coroutines { switch_ns = 30.0 }; steal_enabled = true; check = false }
+
+(* Fixed scheduling costs.  {!Ctx.maybe_yield} yields after
+   [max_accesses_per_quantum] charged accesses; a worker that finds no work
+   advances [idle_quantum_ns]; a core change costs [migration_cost_ns].
+   Thieves only steal tasks ready within [steal_horizon_ns] past their own
+   clock: tasks scheduled further out (timers, pending arrivals) stay with
+   their owner so steals cannot drag a worker's clock into the far future. *)
+let max_accesses_per_quantum = 2048
+let idle_quantum_ns = 400.0
+let migration_cost_ns = 1500.0
+let steal_horizon_ns = 1_000.0
 
 type t = {
   machine : Machine.t;
@@ -467,7 +462,7 @@ let migrate t ~worker ~core =
     t.core_owner.(core) <- worker;
     w.core <- core;
     t.placement_epoch <- t.placement_epoch + 1;
-    w.clock.(0) <- w.clock.(0) +. t.config.migration_cost_ns;
+    w.clock.(0) <- w.clock.(0) +. migration_cost_ns;
     Pmu.incr (Machine.pmu t.machine) ~core Pmu.Migration;
     match t.trace with
     | Some tr when Trace.enabled tr ->
@@ -642,8 +637,8 @@ let pop_own w =
    leave the owner's run order untouched (re-pushing refused tasks to the
    back would rotate it).  A stolen future task leaves its advisory heap
    key behind; the owner's next run-dry sweep drops it as stale. *)
-let steal_ready t w victim =
-  let horizon = w.clock.(0) +. t.config.steal_horizon_ns in
+let steal_ready w victim =
+  let horizon = w.clock.(0) +. steal_horizon_ns in
   let n = dq_length victim.ready in
   let rec scan i =
     if i >= n then dummy_task
@@ -667,7 +662,7 @@ let try_steal t w =
       if i >= Array.length order then dummy_task
       else begin
         let victim = t.workers.(order.(i)) in
-        let task = steal_ready t w victim in
+        let task = steal_ready w victim in
         if task != dummy_task then begin
           let cost =
             2.0 *. Latency.core_to_core_ns ~profile:(Machine.profile t.machine) topo w.core victim.core
@@ -693,7 +688,7 @@ let try_steal t w =
    stolen task id, or -1 when every queued task was refused.  A stolen
    task leaves the scheduler's accounting (the caller owns it). *)
 let steal_once t ~thief ~victim =
-  let task = steal_ready t t.workers.(thief) t.workers.(victim) in
+  let task = steal_ready t.workers.(thief) t.workers.(victim) in
   if task == dummy_task then -1
   else begin
     t.runnable <- t.runnable - 1;
@@ -957,7 +952,7 @@ let run t =
                 (match t.trace with
                 | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
                 | _ -> ());
-                w.clock.(0) <- w.clock.(0) +. t.config.idle_quantum_ns;
+                w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
                 w.parked <- true;
                 t.parked_count <- t.parked_count + 1
               end;
@@ -1003,7 +998,7 @@ module Ctx = struct
   let range c ~write region ~lo ~hi =
     let line_bytes = (Machine.topology c.csched.machine).Topology.line_bytes in
     let elems_per_chunk =
-      max 1 (c.csched.config.max_accesses_per_quantum * line_bytes / (2 * region.Simmem.elt_bytes))
+      max 1 (max_accesses_per_quantum * line_bytes / (2 * region.Simmem.elt_bytes))
     in
     let pos = ref lo in
     while !pos < hi do
@@ -1031,7 +1026,7 @@ module Ctx = struct
 
   let maybe_yield c =
     let w = worker c in
-    if w.accesses >= c.csched.config.max_accesses_per_quantum then Coroutine.yield ()
+    if w.accesses >= max_accesses_per_quantum then Coroutine.yield ()
 
   (* [Coroutine.suspend] hands over the coroutine; the registrar wants the
      scheduler-level task, which owns requeue metadata. *)

@@ -151,22 +151,6 @@ let dag_node t ~tenant ~job_id ~node ~op ~chiplet ~start_ns ~end_ns =
 
 (* -- Chrome trace-event JSON -------------------------------------------- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us ns = ns /. 1000.0
 
 let event_json pid = function
@@ -199,7 +183,7 @@ let event_json pid = function
   | Mode_switch { from_mode; to_mode; at_ns } ->
       Printf.sprintf
         {|{"name":"mode %s->%s","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
-        (escape from_mode) (escape to_mode) (us at_ns) pid
+        (Json.escape from_mode) (Json.escape to_mode) (us at_ns) pid
   | Rebind { worker; node; regions; at_ns } ->
       Printf.sprintf
         {|{"name":"rebind node %d","cat":"rebind","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t","args":{"node":%d,"regions":%d}}|}
@@ -207,34 +191,34 @@ let event_json pid = function
   | Job { phase; tenant; kind; job_id; at_ns } ->
       Printf.sprintf
         {|{"name":"%s %s/%s#%d","cat":"job","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g","args":{"phase":"%s","tenant":"%s","kind":"%s","id":%d}}|}
-        (job_phase_name phase) (escape tenant) (escape kind) job_id (us at_ns)
-        pid (job_phase_name phase) (escape tenant) (escape kind) job_id
+        (job_phase_name phase) (Json.escape tenant) (Json.escape kind) job_id (us at_ns)
+        pid (job_phase_name phase) (Json.escape tenant) (Json.escape kind) job_id
   | Counter { name; at_ns; series } ->
       let args =
         String.concat ","
           (List.map
-             (fun (k, v) -> Printf.sprintf {|"%s":%.3f|} (escape k) v)
+             (fun (k, v) -> Printf.sprintf {|"%s":%.3f|} (Json.escape k) v)
              series)
       in
       Printf.sprintf {|{"name":"%s","cat":"counter","ph":"C","ts":%.3f,"pid":%d,"args":{%s}}|}
-        (escape name) (us at_ns) pid args
+        (Json.escape name) (us at_ns) pid args
   | Instant { name; at_ns } ->
       Printf.sprintf
         {|{"name":"%s","cat":"marker","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
-        (escape name) (us at_ns) pid
+        (Json.escape name) (us at_ns) pid
   | Fault { desc; at_ns } ->
       Printf.sprintf
         {|{"name":"%s","cat":"fault","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
-        (escape desc) (us at_ns) pid
+        (Json.escape desc) (us at_ns) pid
   | Fleet { phase; job_id; tenant; shard; from_shard; at_ns } ->
       let name =
         match phase with
         | Route ->
-            Printf.sprintf "route %s#%d -> shard %d" (escape tenant) job_id shard
+            Printf.sprintf "route %s#%d -> shard %d" (Json.escape tenant) job_id shard
         | Relocate ->
             Printf.sprintf "relocate #%d shard %d -> %d" job_id from_shard shard
         | Router_shed ->
-            Printf.sprintf "router shed %s#%d" (escape tenant) job_id
+            Printf.sprintf "router shed %s#%d" (Json.escape tenant) job_id
       in
       Printf.sprintf
         {|{"name":"%s","cat":"fleet","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g","args":{"phase":"%s","id":%d,"shard":%d,"from":%d}}|}
@@ -244,25 +228,14 @@ let event_json pid = function
          the worker tids so DAG rows group separately in the viewer *)
       Printf.sprintf
         {|{"name":"%s#%d n%d %s","cat":"dag","ph":"X","ts":%.3f,"dur":%.3f,"pid":%d,"tid":%d,"args":{"tenant":"%s","id":%d,"node":%d,"op":"%s","chiplet":%d}}|}
-        (escape tenant) job_id node (escape op) (us start_ns)
+        (Json.escape tenant) job_id node (Json.escape op) (us start_ns)
         (us (Float.max 0.0 (end_ns -. start_ns)))
-        pid (1000 + chiplet) (escape tenant) job_id node (escape op) chiplet
+        pid (1000 + chiplet) (Json.escape tenant) job_id node (Json.escape op) chiplet
 
-let to_chrome_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "[";
-  let first = ref true in
-  iter t (fun e ->
-      if not !first then Buffer.add_string buf ",\n";
-      first := false;
-      Buffer.add_string buf (event_json t.pid e));
-  Buffer.add_string buf "]";
-  Buffer.contents buf
-
-(* Merged serialization for multi-machine (fleet) runs: each trace keeps
-   its own pid so every shard renders as a separate process row, with
-   process_name metadata rows for the labelled ones. *)
-let to_chrome_json_merged ts =
+(* One JSON array over [ts]: each trace renders under its own pid, so every
+   shard of a multi-machine (fleet) run gets its own process row; with
+   [meta], labelled traces first get a process_name metadata row. *)
+let render ~meta ts =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "[";
   let first = ref true in
@@ -271,35 +244,34 @@ let to_chrome_json_merged ts =
     first := false;
     Buffer.add_string buf s
   in
-  List.iter
-    (fun t ->
-      match t.name with
-      | Some n ->
-          emit
-            (Printf.sprintf
-               {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"%s"}}|}
-               t.pid (escape n))
-      | None -> ())
-    ts;
+  if meta then
+    List.iter
+      (fun t ->
+        Option.iter
+          (fun n ->
+            emit
+              (Printf.sprintf
+                 {|{"name":"process_name","ph":"M","pid":%d,"args":{"name":"%s"}}|}
+                 t.pid (Json.escape n)))
+          t.name)
+      ts;
   List.iter (fun t -> iter t (fun e -> emit (event_json t.pid e))) ts;
   Buffer.add_string buf "]";
   Buffer.contents buf
 
-let save t file =
+let to_chrome_json t = render ~meta:false [ t ]
+let to_chrome_json_merged ts = render ~meta:true ts
+
+let write file json =
   let oc = open_out file in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      output_string oc (to_chrome_json t);
+      output_string oc json;
       output_char oc '\n')
 
-let save_merged ts file =
-  let oc = open_out file in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_chrome_json_merged ts);
-      output_char oc '\n')
+let save t file = write file (to_chrome_json t)
+let save_merged ts file = write file (to_chrome_json_merged ts)
 
 (* -- text summary ------------------------------------------------------- *)
 

@@ -108,15 +108,6 @@ type arrival = {
   job_seed : int;
 }
 
-let pick_kind rng mix =
-  let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
-  let r = Rng.int rng total in
-  let rec go acc = function
-    | [] -> assert false
-    | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
-  in
-  go 0 mix
-
 let diurnal_times rng ~rate_per_s ~jobs ~amplitude ~period_ns =
   if amplitude <= 0.0 then
     Serving.Arrivals.poisson_times ~rng ~rate_per_s ~jobs
@@ -167,7 +158,7 @@ let generate_arrivals cfg =
                   {
                     at_ns;
                     tenant = ti;
-                    kind = pick_kind mix_rng t.Server.mix;
+                    kind = Job.pick_kind mix_rng t.Server.mix;
                     job_seed = Rng.int mix_rng 0x3FFFFFFF;
                   })
                 times))
@@ -553,20 +544,13 @@ let run cfg =
 (* -- JSON report --------------------------------------------------------- *)
 
 let result_to_json res =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map
-           (fun (k, v) -> "\"" ^ Metrics.json_escape k ^ "\":" ^ v)
-           fields)
-    ^ "}"
-  in
+  let obj = Engine.Json.obj in
   let shard sr =
     let r = sr.report in
     obj
       [
         ("shard", string_of_int sr.shard);
-        ("machine", "\"" ^ Metrics.json_escape sr.machine ^ "\"");
+        ("machine", Engine.Json.str sr.machine);
         ("placed", string_of_int sr.placed);
         ( "completed",
           string_of_int (sum_tenants r (fun tr -> tr.Server.completed)) );
@@ -584,7 +568,7 @@ let result_to_json res =
   in
   obj
     [
-      ("policy", "\"" ^ Router.policy_name res.policy ^ "\"");
+      ("policy", Engine.Json.str (Router.policy_name res.policy));
       ("shards", string_of_int res.n_shards);
       ("router_submitted", string_of_int res.router_submitted);
       ("router_shed", string_of_int res.router_shed);
@@ -592,7 +576,6 @@ let result_to_json res =
       ("epochs", string_of_int res.epochs);
       ("makespan_ns", Metrics.json_of_float res.makespan_ns);
       ("fleet_latency_ns", Metrics.json_of_histogram res.fleet_latency);
-      ( "shards_detail",
-        "[" ^ String.concat "," (List.map shard res.shard_results) ^ "]" );
+      ("shards_detail", Engine.Json.arr (List.map shard res.shard_results));
       ("metrics", Metrics.to_json res.registry);
     ]

@@ -75,6 +75,15 @@ let kind_of_string s =
               | Some _ | None ->
                   parse_sized "ycsb" (fun n -> Ycsb_batch n) default_ycsb_ops)))
 
+let pick_kind rng mix =
+  let total = List.fold_left (fun a (_, w) -> a + w) 0 mix in
+  let r = Engine.Rng.int rng total in
+  let rec go acc = function
+    | [] -> assert false
+    | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
+  in
+  go 0 mix
+
 type data_config = {
   graph_scale : int;
   edge_factor : int;

@@ -27,6 +27,12 @@ val kind_of_string : string -> kind option
     ["tpch"], ["ycsb"], ["dag"] with default sizes and ["dag:SHAPE"]
     with the default layer count. *)
 
+val pick_kind : Engine.Rng.t -> (kind * int) list -> kind
+(** One weighted draw from a [(kind, weight)] mix: a single
+    [Rng.int rng total_weight] walked over the cumulative weights.  The
+    server's and the fleet's arrival streams both draw through it.
+    Weights must be positive and the mix non-empty. *)
+
 type data_config = {
   graph_scale : int;  (** log2 vertices of the shared Kronecker graph *)
   edge_factor : int;

@@ -40,60 +40,37 @@ let observe t name v = Histogram.observe (histogram t name) v
 
 (* Merge in sorted-key order so the result (and therefore [to_json]) is
    independent of the hash tables' internal iteration order. *)
-let merge dst src =
-  let sorted tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter (fun (name, c) -> incr dst ~by:!c name) (sorted src.counters);
-  List.iter (fun (name, g) -> set_gauge dst name !g) (sorted src.gauges);
-  List.iter
-    (fun (name, h) -> Histogram.merge (histogram dst name) h)
-    (sorted src.histograms)
-
-(* JSON rendering: plain strings in, sorted keys out, no dependencies. *)
-
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.6g" v
-
 let sorted_bindings tbl =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ v) fields) ^ "}"
+let merge dst src =
+  List.iter (fun (name, c) -> incr dst ~by:!c name) (sorted_bindings src.counters);
+  List.iter (fun (name, g) -> set_gauge dst name !g) (sorted_bindings src.gauges);
+  List.iter
+    (fun (name, h) -> Histogram.merge (histogram dst name) h)
+    (sorted_bindings src.histograms)
 
-let hist_json h =
+(* JSON rendering: sorted keys out, strings escaped by {!Engine.Json}. *)
+
+let obj = Engine.Json.obj
+
+let json_of_float v =
+  if Float.is_integer v && Float.abs v < 1e15 then
+    Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.6g" v
+
+let json_of_histogram h =
   obj
     [
       ("count", string_of_int (Histogram.count h));
-      ("mean", json_float (Histogram.mean h));
-      ("p50", json_float (Histogram.p50 h));
-      ("p95", json_float (Histogram.p95 h));
-      ("p99", json_float (Histogram.p99 h));
-      ("p999", json_float (Histogram.p999 h));
-      ("max", json_float (if Histogram.count h = 0 then 0.0 else Histogram.max_value h));
+      ("mean", json_of_float (Histogram.mean h));
+      ("p50", json_of_float (Histogram.p50 h));
+      ("p95", json_of_float (Histogram.p95 h));
+      ("p99", json_of_float (Histogram.p99 h));
+      ("p999", json_of_float (Histogram.p999 h));
+      ("max", json_of_float (if Histogram.count h = 0 then 0.0 else Histogram.max_value h));
     ]
-
-let json_of_float = json_float
-let json_escape = escape
-let json_of_histogram = hist_json
 
 let to_json t =
   obj
@@ -101,7 +78,7 @@ let to_json t =
       ( "counters",
         obj (List.map (fun (k, c) -> (k, string_of_int !c)) (sorted_bindings t.counters)) );
       ( "gauges",
-        obj (List.map (fun (k, g) -> (k, json_float !g)) (sorted_bindings t.gauges)) );
+        obj (List.map (fun (k, g) -> (k, json_of_float !g)) (sorted_bindings t.gauges)) );
       ( "histograms",
-        obj (List.map (fun (k, h) -> (k, hist_json h)) (sorted_bindings t.histograms)) );
+        obj (List.map (fun (k, h) -> (k, json_of_histogram h)) (sorted_bindings t.histograms)) );
     ]

@@ -47,9 +47,12 @@ val to_json : t -> string
     [{"counters": {..}, "gauges": {..}, "histograms": {..}}] with keys in
     sorted order; histograms render count/mean/p50/p95/p99/max. *)
 
-(** {2 JSON building blocks} — shared with report renderers so every
-    number in the serving layer is formatted identically. *)
+(** {2 JSON number and histogram rendering} — shared with the report
+    renderers so every number in the serving layer is formatted
+    identically.  Strings, objects and arrays come from {!Engine.Json}. *)
 
 val json_of_float : float -> string
-val json_escape : string -> string
+(** Integral values below 1e15 as integers, all others with [%.6g]. *)
+
 val json_of_histogram : Histogram.t -> string
+(** count/mean/p50/p95/p99/p999/max as one object. *)

@@ -134,15 +134,6 @@ type relocatable = {
   r_submit_ns : float;
 }
 
-let pick_kind st =
-  let total = List.fold_left (fun a (_, w) -> a + w) 0 st.cfg_t.mix in
-  let r = Engine.Rng.int st.mix_rng total in
-  let rec go acc = function
-    | [] -> assert false
-    | (k, w) :: rest -> if r < acc + w then k else go (acc + w) rest
-  in
-  go 0 st.cfg_t.mix
-
 let validate cfg =
   if cfg.tenants = [] then invalid_arg "Server.run: no tenants";
   if cfg.max_inflight < 1 then invalid_arg "Server.run: max_inflight < 1";
@@ -838,7 +829,7 @@ let run inst cfg =
                     ignore
                       (Sched.Ctx.spawn ctx' ~at:times.(k + 1) (arrive (k + 1))
                         : Sched.task);
-                  let kind = pick_kind st in
+                  let kind = Job.pick_kind st.mix_rng st.cfg_t.mix in
                   ignore
                     (submit_in_sim sess ctx' st ~arrival:times.(k) kind
                       : float Future.t)
@@ -856,7 +847,7 @@ let run inst cfg =
                     ignore
                       (Sched.Ctx.spawn ctx (fun ctx' ->
                            for _ = 1 to quota do
-                             let kind = pick_kind st in
+                             let kind = Job.pick_kind st.mix_rng st.cfg_t.mix in
                              let f =
                                submit_in_sim sess ctx' st
                                  ~arrival:(Sched.Ctx.now ctx') kind
@@ -872,12 +863,7 @@ let run inst cfg =
   finish sess
 
 let report_to_json r =
-  let obj fields =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> "\"" ^ Metrics.json_escape k ^ "\":" ^ v) fields)
-    ^ "}"
-  in
+  let obj = Engine.Json.obj in
   let f = Metrics.json_of_float in
   let acc = r.stats.Engine.Stats.accesses in
   let fills =
@@ -893,7 +879,7 @@ let report_to_json r =
   let tenant (tr : tenant_report) =
     obj
       [
-        ("name", "\"" ^ Metrics.json_escape tr.tenant ^ "\"");
+        ("name", Engine.Json.str tr.tenant);
         ("submitted", string_of_int tr.submitted);
         ("admitted", string_of_int tr.admitted);
         ("shed", string_of_int tr.shed);
@@ -935,7 +921,6 @@ let report_to_json r =
       ("admission", admission);
       ("energy", energy);
       ("fills", fills);
-      ( "tenants",
-        "[" ^ String.concat "," (List.map tenant r.tenant_reports) ^ "]" );
+      ("tenants", Engine.Json.arr (List.map tenant r.tenant_reports));
       ("metrics", Metrics.to_json r.registry);
     ]

@@ -8,5 +8,6 @@ let () =
       ("barrier", Test_barrier.suite);
       ("future", Test_future.suite);
       ("trace", Test_trace.suite);
+      ("json", Test_json.suite);
       ("par", Test_par.suite);
     ]

@@ -66,7 +66,12 @@ let test_router_determinism () =
         log1 log2;
       Alcotest.(check string)
         (Router.policy_name policy ^ " result json byte-identical")
-        json1 json2)
+        json1 json2;
+      match Engine.Json.parse json1 with
+      | Ok doc ->
+          Alcotest.(check bool) "result names its shards" true
+            (Option.is_some (Engine.Json.member "shards_detail" doc))
+      | Error e -> Alcotest.failf "result is not valid JSON: %s" e)
     Router.all_policies
 
 let test_seed_changes_placement () =

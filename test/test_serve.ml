@@ -303,7 +303,12 @@ let run_default seed =
 let test_server_deterministic () =
   let a = run_default 42 and b = run_default 42 and c = run_default 43 in
   Alcotest.(check string) "same seed, identical report" a b;
-  Alcotest.(check bool) "different seed, different report" true (a <> c)
+  Alcotest.(check bool) "different seed, different report" true (a <> c);
+  match Engine.Json.parse a with
+  | Ok doc ->
+      Alcotest.(check bool) "report has tenants" true
+        (Option.is_some (Engine.Json.member "tenants" doc))
+  | Error e -> Alcotest.failf "report is not valid JSON: %s" e
 
 (* -- CLI spec parsing -------------------------------------------------- *)
 

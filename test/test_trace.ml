@@ -6,126 +6,7 @@ let contains haystack needle =
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
 
-(* -- minimal JSON validator --------------------------------------------- *)
-
-exception Bad_json
-
-(* strict recursive-descent check of the whole string: unescaped quotes,
-   control characters or truncated structures in a trace all surface as a
-   parse failure here, exactly as they would in chrome://tracing *)
-let json_valid s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else raise Bad_json in
-  let adv () = incr pos in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\n' | '\t' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c = if peek () <> c then raise Bad_json else adv () in
-  let keyword k =
-    String.iter (fun c -> if peek () <> c then raise Bad_json else adv ()) k
-  in
-  let digits () =
-    let saw = ref false in
-    while !pos < n && (match s.[!pos] with '0' .. '9' -> true | _ -> false) do
-      adv ();
-      saw := true
-    done;
-    if not !saw then raise Bad_json
-  in
-  let number () =
-    if peek () = '-' then adv ();
-    digits ();
-    if !pos < n && s.[!pos] = '.' then begin
-      adv ();
-      digits ()
-    end;
-    if !pos < n && (s.[!pos] = 'e' || s.[!pos] = 'E') then begin
-      adv ();
-      if !pos < n && (s.[!pos] = '+' || s.[!pos] = '-') then adv ();
-      digits ()
-    end
-  in
-  let rec pstring () =
-    expect '"';
-    let rec go () =
-      let c = peek () in
-      adv ();
-      match c with
-      | '"' -> ()
-      | '\\' -> (
-          let e = peek () in
-          adv ();
-          match e with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> go ()
-          | 'u' ->
-              for _ = 1 to 4 do
-                (match peek () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                | _ -> raise Bad_json);
-                adv ()
-              done;
-              go ()
-          | _ -> raise Bad_json)
-      | c when Char.code c < 0x20 -> raise Bad_json
-      | _ -> go ()
-    in
-    go ()
-  and value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        adv ();
-        skip_ws ();
-        if peek () = '}' then adv ()
-        else begin
-          let rec members () =
-            skip_ws ();
-            pstring ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            if peek () = ',' then begin
-              adv ();
-              members ()
-            end
-            else expect '}'
-          in
-          members ()
-        end
-    | '[' ->
-        adv ();
-        skip_ws ();
-        if peek () = ']' then adv ()
-        else begin
-          let rec elems () =
-            value ();
-            skip_ws ();
-            if peek () = ',' then begin
-              adv ();
-              elems ()
-            end
-            else expect ']'
-          in
-          elems ()
-        end
-    | '"' -> pstring ()
-    | 't' -> keyword "true"
-    | 'f' -> keyword "false"
-    | 'n' -> keyword "null"
-    | c when c = '-' || (c >= '0' && c <= '9') -> number ()
-    | _ -> raise Bad_json
-  in
-  try
-    value ();
-    skip_ws ();
-    !pos = n
-  with Bad_json -> false
+let json_valid s = Result.is_ok (Json.parse s)
 
 (* -- unit tests --------------------------------------------------------- *)
 
@@ -198,6 +79,13 @@ let test_json_escaping_all_kinds () =
   Trace.instant t ~name:"quote \" backslash \\ newline \n tab \t" ~at_ns:13.0;
   let json = Trace.to_chrome_json t in
   Alcotest.(check bool) "hostile names produce valid json" true (json_valid json);
+  let names =
+    match Json.parse json with
+    | Ok (Json.Array evs) -> List.filter_map (Json.member "name") evs
+    | _ -> []
+  in
+  Alcotest.(check bool) "hostile name round-trips" true
+    (List.mem (Json.String "quote \" backslash \\ newline \n tab \t") names);
   Alcotest.(check bool) "counter channel present" true (contains json {|"ph":"C"|});
   Alcotest.(check bool) "job category present" true (contains json {|"cat":"job"|});
   let s = Trace.summary t in
