@@ -68,8 +68,7 @@ let config ~comm_aware ~rate =
     seed;
     data =
       {
-        Job.default_data_config with
-        graph_scale = 8;
+        Job.graph_scale = 8;
         dag_comm_aware = comm_aware;
         seed = seed + 1;
       };

@@ -56,7 +56,6 @@ let run_fleet (c : Cli.common) ~n_shards ~machine ~shard_machines ~policy
   let res =
     Fleet.Cluster.run
       {
-        (Fleet.Cluster.default_config ~seed:cfg.Serve.Server.seed) with
         Fleet.Cluster.n_shards;
         sys = c.sys;
         machines;
@@ -142,8 +141,7 @@ let main (c : Cli.common) rate jobs seed max_inflight queue_bound slo_factor
       seed;
       data =
         {
-          Serve.Job.default_data_config with
-          graph_scale;
+          Serve.Job.graph_scale;
           dag_comm_aware = dag_mapper = Taskgraph.Mapper.Comm_aware;
           seed = seed + 1;
         };

@@ -98,7 +98,7 @@ let common ~workers =
       & info [ "trace" ] ~docv:"FILE"
           ~doc:
             "Write a Chrome trace-event JSON of the run (task quanta, \
-             steals, parks, migrations, policy decisions; serving adds job \
+             steals, parks, migrations, spread changes; serving adds job \
              admit/shed/start/finish instants and a fill-class counter \
              track) to $(docv); deterministic for a fixed seed. A text \
              summary goes to stderr.")

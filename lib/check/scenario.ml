@@ -373,8 +373,6 @@ let run_fleet t (f : fleet_params) =
       diurnal_period_us = 4000.0;
       faults = f.fshard_faults;
       relocation = f.frelocation;
-      degraded_capacity = 0.75;
-      degraded_sick = 0.25;
       trace = false;
     }
   in

@@ -1,7 +1,6 @@
 exception Violation of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Violation s)) fmt
-let require cond msg = if not cond then raise (Violation msg)
 
 module Plant = struct
   type t = Skip_ready_clamp | Vote_skip | Drop_relocated | Route_offline

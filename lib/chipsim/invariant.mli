@@ -16,10 +16,6 @@ val fail : ('a, unit, string, 'b) format4 -> 'a
     sites guard with [if] so the message is only built on failure — checks
     on hot paths must not allocate when the invariant holds. *)
 
-val require : bool -> string -> unit
-(** [require cond msg] raises [Violation msg] unless [cond].  Only for
-    cold paths: [msg] is built eagerly. *)
-
 (** The planted-bug registry: deliberate defects that the invariant layer
     must catch.  CI proves the checker detects them and the fuzzer
     shrinks them; every CLI names them through [--plant].  At most one

@@ -170,8 +170,6 @@ let l3_ways t ~chiplet =
 let set_mem_capacity_factor t ~node factor =
   Memchan.set_capacity_factor t.chan ~node factor
 
-let mem_capacity_factor t ~node = Memchan.capacity_factor t.chan ~node
-
 let alloc t ?policy ~elt_bytes ~count () =
   Simmem.alloc t.mem ?policy ~elt_bytes ~count ()
 
@@ -418,8 +416,6 @@ let transfer t ~src_chiplet ~dst_chiplet ~now_ns ~bytes =
     in
     Float.max (leg src_chiplet) (leg dst_chiplet)
   end
-
-let transferred_bytes t = t.xfer_bytes
 
 let core_to_core_ns t a b = Latency.core_to_core_ns ~profile:t.profile t.topo a b
 let dram_load_ratio t ~node ~now_ns = Memchan.load_ratio t.chan ~node ~now_ns

@@ -31,8 +31,6 @@ val set_mem_capacity_factor : t -> node:int -> float -> unit
 (** Throttle a NUMA node's deliverable memory bandwidth (see
     {!Memchan.set_capacity_factor}). *)
 
-val mem_capacity_factor : t -> node:int -> float
-
 val alloc :
   t -> ?policy:Simmem.policy -> elt_bytes:int -> count:int -> unit ->
   Simmem.region
@@ -82,12 +80,6 @@ val transfer :
     via {!Memchan.charge_lines}, the slower leg dominating.  [bytes = 0]
     is free.
     @raise Invalid_argument on out-of-range chiplets or negative bytes. *)
-
-val transferred_bytes : t -> int
-(** Total payload bytes ever moved cross-chiplet by {!transfer}
-    (line-rounded) since creation, {!reset} or {!flush_caches} — the
-    ledger the edge-byte conservation invariant checks against the link
-    channels' byte totals. *)
 
 val core_to_core_ns : t -> int -> int -> float
 val dram_load_ratio : t -> node:int -> now_ns:float -> float

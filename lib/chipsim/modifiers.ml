@@ -91,8 +91,6 @@ let take_corruption t =
       touch t;
       Some seed
 
-let corruptions_armed t = List.length t.corruptions
-
 let online_capacity t =
   let acc = ref 0.0 in
   for c = 0 to t.cores - 1 do
@@ -114,13 +112,6 @@ let chiplet_os_impaired t ~chiplet ~cores_per_chiplet =
 let chiplet_impaired t ~chiplet ~cores_per_chiplet =
   chiplet_os_impaired t ~chiplet ~cores_per_chiplet
   || t.link_mult.(chiplet) > 1.0
-
-let pristine t =
-  t.xsocket_mult = 1.0
-  && t.corruptions = []
-  && Array.for_all (fun s -> s = 1.0) t.core_speed
-  && Array.for_all Fun.id t.core_online
-  && Array.for_all (fun m -> m = 1.0) t.link_mult
 
 let reset t =
   Array.fill t.core_speed 0 t.cores 1.0;

@@ -46,9 +46,6 @@ val take_corruption : t -> int option
     replica layer when it derives a result token; a run without
     replication simply never consumes armed seeds. *)
 
-val corruptions_armed : t -> int
-(** Number of armed, not-yet-consumed corruption seeds. *)
-
 val online_capacity : t -> float
 (** Machine-wide effective compute capacity in [0, 1]: mean over cores of
     [speed] for online cores (offline cores contribute 0).  The serving
@@ -63,9 +60,6 @@ val chiplet_os_impaired : t -> chiplet:int -> cores_per_chiplet:int -> bool
 val chiplet_impaired : t -> chiplet:int -> cores_per_chiplet:int -> bool
 (** Any impairment on the chiplet, OS-visible or silent: offline or
     throttled cores, or a raised link multiplier. *)
-
-val pristine : t -> bool
-(** True iff no modifier deviates from its healthy default. *)
 
 val generation : t -> int
 (** Bumped on every mutation (cheap change detection for observers). *)

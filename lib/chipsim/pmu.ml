@@ -140,12 +140,3 @@ let remote_fill_events t ~core =
   + read t ~core Fill_remote_numa
   + read t ~core Dram_local
   + read t ~core Dram_remote
-
-let pp_core ppf (t, core) =
-  Format.fprintf ppf "@[<v>core %d:" core;
-  List.iter
-    (fun ev ->
-      let v = read t ~core ev in
-      if v <> 0 then Format.fprintf ppf "@ %s = %d" (event_name ev) v)
-    all_events;
-  Format.fprintf ppf "@]"

@@ -57,5 +57,3 @@ val remote_fill_events : t -> core:int -> int
 (** Sum of the events Alg. 1 treats as "remote chiplet access": fills served
     by another chiplet (either socket) plus DRAM accesses.  This is the
     cache-fill-event counter of paper Alg. 1 line 5. *)
-
-val pp_core : Format.formatter -> t * int -> unit

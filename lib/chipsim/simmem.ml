@@ -136,8 +136,6 @@ let placed_pages t ~node =
     invalid_arg "Simmem.placed_pages: node out of range";
   t.node_pages.(node)
 
-let line_of_addr t a = a / t.topo.Topology.line_bytes
-
 let reset t =
   t.next_base <- page_bytes;
   t.nregions <- 0;

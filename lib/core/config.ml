@@ -5,11 +5,9 @@ type t = {
   rmt_chip_access_rate : float;
   approach : approach;
   initial_spread : int;
-  rebind_memory_on_migrate : bool;
   profile_while_running : bool;
   chiplet_first_steal : bool;
   decentralized : bool;
-  prefer_big_cores : bool;
   energy_weight : float;
   power_cap_mw : float;
 }
@@ -20,11 +18,9 @@ let default =
     rmt_chip_access_rate = 300.0;
     approach = Adaptive;
     initial_spread = 1;
-    rebind_memory_on_migrate = true;
     profile_while_running = true;
     chiplet_first_steal = true;
     decentralized = true;
-    prefer_big_cores = true;
     energy_weight = 0.0;
     power_cap_mw = 0.0;
   }

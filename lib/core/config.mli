@@ -21,8 +21,6 @@ type t = {
           interval that trigger spreading *)
   approach : approach;
   initial_spread : int;  (** initial [spread_rate]; paper initialises to 1 *)
-  rebind_memory_on_migrate : bool;
-      (** re-home a worker's bound regions when it crosses sockets *)
   profile_while_running : bool;
       (** profiler active (5–10%% overhead): every quantum-end check
           charges the worker a fixed 40 ns *)
@@ -33,10 +31,6 @@ type t = {
       (** paper §4.1: each worker decides from its own counters.  [false]
           switches to a centralized variant (ablation): one arbiter
           averages all workers' rates and pushes a uniform spread_rate *)
-  prefer_big_cores : bool;
-      (** on heterogeneous topologies, fill the fastest chiplets first
-          when placing gangs and break flee-target ties toward faster
-          kinds; no effect on homogeneous machines *)
   energy_weight : float;
       (** EDP-aware placement: > 0 makes {!Policy} discount flee targets
           by their kind's energy density (speed / (1 + w x density)) and

@@ -32,7 +32,6 @@ type t = {
       (* chiplet -> throttled by the power-cap controller?  Only
          consulted when energy_weight > 0, so capped-but-unweighted runs
          place identically to pre-energy CHARM *)
-  mutable on_migrate : worker:int -> old_core:int -> new_core:int -> unit;
   mutable on_spread_change :
     worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit;
 }
@@ -57,7 +56,6 @@ let create config machine controller profiler ~n_workers =
     s_health_migrations = 0;
     health = None;
     power_hot = None;
-    on_migrate = (fun ~worker:_ ~old_core:_ ~new_core:_ -> ());
     on_spread_change =
       (fun ~worker:_ ~old_spread:_ ~new_spread:_ ~at_ns:_ -> ());
   }
@@ -84,7 +82,6 @@ let chiplet_hot t chiplet =
    when occupied — being throttled for power is operationally the same
    signal as being throttled by a fault *)
 let chiplet_avoid t chiplet = chiplet_sick t chiplet || chiplet_hot t chiplet
-let set_on_migrate t f = t.on_migrate <- f
 let set_on_spread_change t f = t.on_spread_change <- f
 
 let stats t =
@@ -104,8 +101,8 @@ let update_location t sched ~worker ~core =
   let topo = Machine.topology t.machine in
   let st = t.states.(worker) in
   match
-    Placement.core_of_worker ~prefer_fast:t.config.Config.prefer_big_cores topo
-      ~spread_rate:st.spread ~n_workers:t.n_workers ~worker
+    Placement.core_of_worker topo ~spread_rate:st.spread ~n_workers:t.n_workers
+      ~worker
   with
   | None -> t.s_skipped <- t.s_skipped + 1
   | Some target when target = core -> ()
@@ -122,8 +119,7 @@ let update_location t sched ~worker ~core =
       | None ->
           Engine.Sched.migrate sched ~worker ~core:target;
           t.s_migrations <- t.s_migrations + 1;
-          Profiler.rebase t.profiler ~worker ~core:target;
-          t.on_migrate ~worker ~old_core:core ~new_core:target)
+          Profiler.rebase t.profiler ~worker ~core:target)
 
 (* A worker stuck on a sick chiplet ignores Alg. 2 and flees to the
    nearest free core on a healthy chiplet.  Alg. 2 keeps nominating cores
@@ -133,7 +129,6 @@ let flee_sick_chiplet t sched ~worker ~core =
   let topo = Machine.topology t.machine in
   if chiplet_avoid t (Topology.chiplet_of_core topo core) then begin
     let cores = Topology.num_cores topo in
-    let prefer_fast = t.config.Config.prefer_big_cores in
     let best = ref (-1) and best_rank = ref max_int and best_speed = ref 0.0 in
     for c = 0 to cores - 1 do
       if
@@ -152,13 +147,9 @@ let flee_sick_chiplet t sched ~worker ~core =
         (* accelerator-only chiplets are a last resort for fleeing
            general work, ranked past any general-task core *)
         let r =
-          if
-            prefer_fast
-            && not
-                 (Topology.chiplet_accepts_general topo
-                    (Topology.chiplet_of_core topo c))
-          then r + 8
-          else r
+          if Topology.chiplet_accepts_general topo (Topology.chiplet_of_core topo c)
+          then r
+          else r + 8
         in
         let s =
           let speed = Topology.core_speed topo c in
@@ -168,7 +159,7 @@ let flee_sick_chiplet t sched ~worker ~core =
                density, so with rising energy_weight the policy trades
                peak speed for efficient silicon (a little core's low
                density can beat a big core's raw speed).  With w = 0 this
-               is exactly the PR-8 speed tie-break. *)
+               is the plain speed tie-break. *)
             let density =
               (Topology.spec_of_kind topo (Topology.kind_of_core topo c))
                 .Topology.energy_pj
@@ -179,8 +170,7 @@ let flee_sick_chiplet t sched ~worker ~core =
         in
         (* equal-distance candidates: prefer the faster kind (strict >, so
            homogeneous machines still pick the lowest-numbered core) *)
-        if r < !best_rank || (r = !best_rank && prefer_fast && s > !best_speed)
-        then begin
+        if r < !best_rank || (r = !best_rank && s > !best_speed) then begin
           best_rank := r;
           best_speed := s;
           best := c
@@ -191,8 +181,7 @@ let flee_sick_chiplet t sched ~worker ~core =
       Engine.Sched.migrate sched ~worker ~core:!best;
       t.s_migrations <- t.s_migrations + 1;
       t.s_health_migrations <- t.s_health_migrations + 1;
-      Profiler.rebase t.profiler ~worker ~core:!best;
-      t.on_migrate ~worker ~old_core:core ~new_core:!best
+      Profiler.rebase t.profiler ~worker ~core:!best
     end
   end
 
@@ -208,15 +197,10 @@ let evaluate t sched ~worker ~now ~elapsed =
   in
   let decision = Controller.decide t.controller ~degraded sample in
   let topo = Machine.topology t.machine in
-  let chiplets = topo.Topology.chiplets_per_socket in
   let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
   (* general work never spreads onto accelerator-only chiplets while the
      gang fits on the general ones *)
-  let max_spread =
-    if t.config.Config.prefer_big_cores then
-      Placement.max_general_spread topo ~n_workers:t.n_workers
-    else chiplets
-  in
+  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
   if rate >= decision.Controller.threshold then begin
     if st.spread < max_spread then begin
       st.spread <- st.spread + 1;
@@ -272,13 +256,8 @@ let centralized_evaluate t sched ~now ~elapsed =
   in
   let decision = Controller.decide t.controller !agg in
   let topo = Machine.topology machine in
-  let chiplets = topo.Topology.chiplets_per_socket in
   let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  let max_spread =
-    if t.config.Config.prefer_big_cores then
-      Placement.max_general_spread topo ~n_workers:t.n_workers
-    else chiplets
-  in
+  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
   let old_global = t.states.(0).spread in
   let global =
     if rate >= decision.Controller.threshold then begin

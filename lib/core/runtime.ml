@@ -8,7 +8,6 @@ type t = {
   profiler : Profiler.t;
   controller : Controller.t;
   policy : Policy.t;
-  memory : Memory_manager.t;
   health : Health_monitor.t;
   power_cap : Power_cap.t option;
   n_workers : int;
@@ -30,10 +29,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
     else Placement.min_valid_spread topo ~n_workers
   in
   let placement w =
-    match
-      Placement.core_of_worker ~prefer_fast:config.Config.prefer_big_cores topo
-        ~spread_rate:spread0 ~n_workers ~worker:w
-    with
+    match Placement.core_of_worker topo ~spread_rate:spread0 ~n_workers ~worker:w with
     | Some core -> core
     | None -> invalid_arg "Runtime.init: no valid placement for the gang"
   in
@@ -42,7 +38,6 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
   let controller = Controller.create config in
   let config = { config with Config.initial_spread = spread0 } in
   let policy = Policy.create config machine controller profiler ~n_workers in
-  let memory = Memory_manager.create config machine ~n_workers in
   let health = Health_monitor.create machine ~n_workers in
   (* any energy feature — a cap or EDP-weighted placement — needs the
      per-quantum compute meters running; plain runs leave them off so the
@@ -63,16 +58,9 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
       Policy.set_power_oracle policy
         (Some (fun chiplet -> Power_cap.throttled pc ~chiplet))
   | None -> ());
-  Policy.set_on_migrate policy (fun ~worker ~old_core ~new_core ->
-      Memory_manager.on_migrate memory ~worker ~old_core ~new_core);
-  (* initial memory bindings follow the initial placement *)
-  for w = 0 to n_workers - 1 do
-    Memory_manager.bind_worker memory ~worker:w
-      ~node:(Placement.numa_node_of_core topo (Sched.worker_core sched w))
-  done;
   let t =
-    { config; machine; sched; profiler; controller; policy; memory; health;
-      power_cap; n_workers; makespan = 0.0 }
+    { config; machine; sched; profiler; controller; policy; health; power_cap;
+      n_workers; makespan = 0.0 }
   in
   let steal_rng = Engine.Rng.create 0x51ea1 in
   let hooks =
@@ -89,7 +77,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
               in
               (match (action, Sched.trace sched) with
               | Power_cap.Idle, _ | _, None -> ()
-              | action, Some tr when Engine.Trace.enabled tr ->
+              | action, Some tr ->
                   let desc =
                     match action with
                     | Power_cap.Shed ch ->
@@ -103,8 +91,7 @@ let init ?(config = Config.default) ?(sched_config = Sched.default_config)
                     | Power_cap.Idle -> assert false
                   in
                   Engine.Trace.instant tr ~name:desc
-                    ~at_ns:(Sched.worker_clock sched worker)
-              | _ -> ())
+                    ~at_ns:(Sched.worker_clock sched worker))
           | None -> ());
           if config.Config.profile_while_running then begin
             Sched.charge sched ~worker profiler_overhead_ns;
@@ -152,9 +139,6 @@ let attach_trace t tr =
         ~from_mode:(Config.approach_to_string from_mode)
         ~to_mode:(Config.approach_to_string to_mode)
         ~at_ns:(max_clock t));
-  Memory_manager.set_on_rebind t.memory (fun ~worker ~node ~regions ->
-      Engine.Trace.rebind tr ~worker ~node ~regions
-        ~at_ns:(Sched.worker_clock t.sched worker));
   Health_monitor.set_on_event t.health (fun ~chiplet ~sick ~at_ns ->
       Engine.Trace.instant tr
         ~name:
@@ -167,12 +151,11 @@ let config t = t.config
 let n_workers t = t.n_workers
 let policy t = t.policy
 let power_cap t = t.power_cap
-let memory t = t.memory
 let profiler t = t.profiler
 let health t = t.health
 
 let alloc_shared t ?policy ~elt_bytes ~count () =
-  Memory_manager.alloc_shared t.memory ?policy ~elt_bytes ~count ()
+  Machine.alloc t.machine ?policy ~elt_bytes ~count ()
 
 let run t main =
   ignore (Sched.spawn t.sched ~worker:0 main : Sched.task);

@@ -6,8 +6,8 @@
     collect statistics with {!finalize} (CHARM_Finalize).
 
     Under the hood every worker runs the decentralized Alg. 1 policy at
-    each quantum end, migrating itself with Alg. 2 and rebinding its
-    memory through the memory manager. *)
+    each quantum end, migrating itself with Alg. 2.  Memory placement is
+    fixed at allocation by the region's {!Chipsim.Simmem.policy}. *)
 
 open Chipsim
 
@@ -28,7 +28,6 @@ val machine : t -> Machine.t
 val config : t -> Config.t
 val n_workers : t -> int
 val policy : t -> Policy.t
-val memory : t -> Memory_manager.t
 val profiler : t -> Profiler.t
 
 val power_cap : t -> Power_cap.t option
@@ -53,10 +52,9 @@ val alloc_shared :
 val attach_trace : t -> Engine.Trace.t -> unit
 (** Wire a trace sink through every layer: the scheduler (quantum, steal,
     park, migration events), the policy (spread changes), the controller
-    (adaptive mode switches), the memory manager (cross-socket region
-    re-homes) and the health monitor (sick/recovered instants plus a
-    per-chiplet ns/access counter track).  Call once, before running
-    work. *)
+    (adaptive mode switches) and the health monitor (sick/recovered
+    instants plus a per-chiplet ns/access counter track).  Call once,
+    before running work. *)
 
 val run : t -> (Engine.Sched.ctx -> unit) -> float
 (** Execute a main task to completion; returns the virtual makespan (ns).

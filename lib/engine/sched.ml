@@ -392,7 +392,6 @@ let trace t = t.trace
 let set_check t on = t.check <- on
 let check_enabled t = t.check
 let set_energy t on = t.energy <- on
-let energy_enabled t = t.energy
 let set_on_advance t f = t.on_advance <- f
 let worker_core t w = t.workers.(w).core
 let worker_clock t w = t.workers.(w).clock.(0)
@@ -408,15 +407,6 @@ let worker_of_core t core =
 
 let queue_length t w = run_queue_len t.workers.(w)
 
-let pending_length t w =
-  let w = t.workers.(w) in
-  let q = w.ready and clock = w.clock.(0) in
-  let n = ref 0 in
-  for i = 0 to dq_length q - 1 do
-    if (dq_get q i).ready_at > clock then incr n
-  done;
-  !n
-
 let ready_queue_ids t w =
   let q = t.workers.(w).ready in
   List.init (dq_length q) (fun i -> (dq_get q i).tid)
@@ -424,7 +414,6 @@ let ready_queue_ids t w =
 let heap_snapshot t =
   Array.init t.heap.size (fun i -> (t.heap.keys.(i), t.heap.vals.(i)))
 
-let live_tasks t = t.live
 let total_spawned t = t.spawned
 
 let sample t now =
@@ -465,13 +454,12 @@ let migrate t ~worker ~core =
     w.clock.(0) <- w.clock.(0) +. migration_cost_ns;
     Pmu.incr (Machine.pmu t.machine) ~core Pmu.Migration;
     match t.trace with
-    | Some tr when Trace.enabled tr ->
+    | Some tr ->
         Trace.migration tr ~worker ~from_core ~to_core:core ~at_ns:w.clock.(0)
-    | _ -> ()
+    | None -> ()
   end
 
 let task_id task = task.tid
-let task_is_done task = task.finished
 
 let make_task t body ~worker ~at =
   t.next_tid <- t.next_tid + 1;
@@ -670,10 +658,10 @@ let try_steal t w =
           w.clock.(0) <- w.clock.(0) +. cost;
           Pmu.incr (Machine.pmu t.machine) ~core:w.core Pmu.Task_stolen;
           (match t.trace with
-          | Some tr when Trace.enabled tr ->
+          | Some tr ->
               Trace.steal tr ~thief:w.wid ~victim:victim.wid ~task_id:task.tid
                 ~at_ns:w.clock.(0)
-          | _ -> ());
+          | None -> ());
           if run_queue_len victim > 0 then
             wake_one_thief t ~near:victim ~at:w.clock.(0);
           task
@@ -836,10 +824,10 @@ let execute t w task =
   (* emit before the policy hook runs: a migration decided at quantum end
      must not retroactively relabel the core this quantum ran on *)
   (match t.trace with
-  | Some tr when Trace.enabled tr ->
+  | Some tr ->
       Trace.task_quantum tr ~worker:w.wid ~core:w.core ~task_id:task.tid
         ~start_ns:quantum_start ~end_ns:w.clock.(0)
-  | _ -> ());
+  | None -> ());
   if t.check then check_quantum_end t w task ~quantum_start;
   t.hooks.on_quantum_end t w.wid
 
@@ -950,8 +938,8 @@ let run t =
                 (* Nothing to run or steal: park until an enqueue wakes us.
                    A short idle advance models the real polling interval. *)
                 (match t.trace with
-                | Some tr when Trace.enabled tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
-                | _ -> ());
+                | Some tr -> Trace.park tr ~worker:wid ~at_ns:w.clock.(0)
+                | None -> ());
                 w.clock.(0) <- w.clock.(0) +. idle_quantum_ns;
                 w.parked <- true;
                 t.parked_count <- t.parked_count + 1
@@ -974,7 +962,6 @@ module Ctx = struct
   let worker_id c = c.ctask.last_worker
   let core c = (worker c).core
   let rng c = (worker c).wrng
-  let current_task c = c.ctask
   let quantum_accesses c = (worker c).accesses
 
   let charge c ns =

@@ -74,12 +74,12 @@ val hooks : t -> hooks
     wrap the active policy hooks instead of replacing them. *)
 
 val set_trace : t -> Trace.t option -> unit
-(** Attach (or detach) a trace sink.  While attached and enabled the
-    scheduler emits a [Quantum] event per executed task quantum (real task
-    id, start stamped when the task actually begins — idle and steal time
-    are excluded), a [Steal] event per successful steal, a [Park] event
-    when a worker runs dry, and a [Migration] event from {!migrate}.  With
-    no sink (the default) the hot loop pays one branch and allocates
+(** Attach (or detach) a trace sink.  While attached the scheduler emits
+    a [Quantum] event per executed task quantum (real task id, start
+    stamped when the task actually begins — idle and steal time are
+    excluded), a [Steal] event per successful steal, a [Park] event when
+    a worker runs dry, and a [Migration] event from {!migrate}.  With no
+    sink (the default) the hot loop pays one branch and allocates
     nothing. *)
 
 val trace : t -> Trace.t option
@@ -112,8 +112,6 @@ val set_energy : t -> bool -> unit
     untouched keeps energy-off runs bit-identical to pre-energy
     baselines. *)
 
-val energy_enabled : t -> bool
-
 val check_quiescent : t -> unit
 (** The end-of-run verification {!run} performs when checking is on: work
     conservation, empty deques once no task is live, and the machine's
@@ -134,10 +132,6 @@ val worker_of_core : t -> int -> int option
 
 val queue_length : t -> int -> int
 (** Total tasks queued on the worker. *)
-
-val pending_length : t -> int -> int
-(** Queued tasks whose ready time is still beyond the worker's clock
-    (timers, pending arrivals). *)
 
 val ready_queue_ids : t -> int -> int list
 (** Task ids in the worker's run queue, oldest first.  Exposed so tests
@@ -192,13 +186,11 @@ val run : t -> float
 (** Run until no live task remains; returns the makespan in virtual ns
     (max over workers that executed work of their final clock). *)
 
-val live_tasks : t -> int
 val total_spawned : t -> int
 val concurrency_samples : t -> (float * int) array
 (** [(virtual time, live task count)] recorded at every spawn/finish. *)
 
 val task_id : task -> int
-val task_is_done : task -> bool
 
 module Ctx : sig
   val sched : ctx -> t
@@ -235,8 +227,6 @@ module Ctx : sig
 
   val await : ctx -> task -> unit
   (** Suspend until [task] finishes (no-op if it already did). *)
-
-  val current_task : ctx -> task
 end
 
 val charge : t -> worker:int -> float -> unit

@@ -18,10 +18,8 @@ type event =
   | Steal of { thief : int; victim : int; task_id : int; at_ns : float }
   | Park of { worker : int; at_ns : float }
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
-  | Policy of { worker : int; spread : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
-  | Rebind of { worker : int; node : int; regions : int; at_ns : float }
   | Job of { phase : job_phase; tenant : string; kind : string; job_id : int; at_ns : float }
   | Counter of { name : string; at_ns : float; series : (string * float) list }
   | Instant of { name : string; at_ns : float }
@@ -56,7 +54,6 @@ type t = {
   mutable head : int;
   mutable len : int;
   mutable dropped : int;
-  mutable on : bool;
 }
 
 let default_capacity = 1 lsl 18
@@ -71,13 +68,10 @@ let create ?(capacity = default_capacity) ?(pid = 0) ?name () =
     head = 0;
     len = 0;
     dropped = 0;
-    on = true;
   }
 
 let pid t = t.pid
 
-let enabled t = t.on
-let set_enabled t on = t.on <- on
 let capacity t = t.capacity
 let num_events t = t.len
 let dropped t = t.dropped
@@ -88,11 +82,9 @@ let clear t =
   t.dropped <- 0
 
 let push t e =
-  if t.on then begin
-    t.buf.(t.head) <- e;
-    t.head <- (t.head + 1) mod t.capacity;
-    if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
-  end
+  t.buf.(t.head) <- e;
+  t.head <- (t.head + 1) mod t.capacity;
+  if t.len < t.capacity then t.len <- t.len + 1 else t.dropped <- t.dropped + 1
 
 (* oldest-first iteration over the retained window *)
 let iter t f =
@@ -115,17 +107,11 @@ let park t ~worker ~at_ns = push t (Park { worker; at_ns })
 let migration t ~worker ~from_core ~to_core ~at_ns =
   push t (Migration { worker; from_core; to_core; at_ns })
 
-let policy_decision t ~worker ~spread ~at_ns =
-  push t (Policy { worker; spread; at_ns })
-
 let spread_change t ~worker ~old_spread ~new_spread ~at_ns =
   push t (Spread_change { worker; old_spread; new_spread; at_ns })
 
 let mode_switch t ~from_mode ~to_mode ~at_ns =
   push t (Mode_switch { from_mode; to_mode; at_ns })
-
-let rebind t ~worker ~node ~regions ~at_ns =
-  push t (Rebind { worker; node; regions; at_ns })
 
 let job t ~phase ~tenant ~kind ~job_id ~at_ns =
   push t (Job { phase; tenant; kind; job_id; at_ns })
@@ -172,10 +158,6 @@ let event_json pid = function
       Printf.sprintf
         {|{"name":"migrate %d->%d","cat":"migration","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
         from_core to_core (us at_ns) pid worker
-  | Policy { worker; spread; at_ns } ->
-      Printf.sprintf
-        {|{"name":"spread=%d","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t"}|}
-        spread (us at_ns) pid worker
   | Spread_change { worker; old_spread; new_spread; at_ns } ->
       Printf.sprintf
         {|{"name":"spread %d->%d","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t","args":{"old":%d,"new":%d}}|}
@@ -184,10 +166,6 @@ let event_json pid = function
       Printf.sprintf
         {|{"name":"mode %s->%s","cat":"policy","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g"}|}
         (Json.escape from_mode) (Json.escape to_mode) (us at_ns) pid
-  | Rebind { worker; node; regions; at_ns } ->
-      Printf.sprintf
-        {|{"name":"rebind node %d","cat":"rebind","ph":"i","ts":%.3f,"pid":%d,"tid":%d,"s":"t","args":{"node":%d,"regions":%d}}|}
-        node (us at_ns) pid worker node regions
   | Job { phase; tenant; kind; job_id; at_ns } ->
       Printf.sprintf
         {|{"name":"%s %s/%s#%d","cat":"job","ph":"i","ts":%.3f,"pid":%d,"tid":0,"s":"g","args":{"phase":"%s","tenant":"%s","kind":"%s","id":%d}}|}
@@ -280,8 +258,7 @@ let category = function
   | Steal _ -> "steal"
   | Park _ -> "park"
   | Migration _ -> "migration"
-  | Policy _ | Spread_change _ | Mode_switch _ -> "policy"
-  | Rebind _ -> "rebind"
+  | Spread_change _ | Mode_switch _ -> "policy"
   | Job _ -> "job"
   | Counter _ -> "counter"
   | Instant _ -> "marker"

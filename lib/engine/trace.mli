@@ -1,16 +1,16 @@
-(** Execution tracing: a bounded ring buffer of scheduler, policy, memory
-    and serving events, serialized as Chrome trace-event JSON (load in
+(** Execution tracing: a bounded ring buffer of scheduler, policy and
+    serving events, serialized as Chrome trace-event JSON (load in
     [chrome://tracing] / Perfetto).
 
     This is the observability side of the paper's profiler: where the PMU
     counters say {e what} was served from where, the trace shows {e when}
     each worker ran which task on which core, when the policy spread or
-    contracted the gang, when memory was re-homed, and (in serving mode)
-    the admit/shed/start/finish lifecycle of every job plus a periodic
-    fill-class counter track — the Fig. 3 time series the policy consumes.
+    contracted the gang, and (in serving mode) the admit/shed/start/finish
+    lifecycle of every job plus a periodic fill-class counter track — the
+    Fig. 3 time series the policy consumes.
 
-    Producers guard every emission behind {!enabled}, so an attached but
-    disabled trace costs one branch and no allocation on the hot paths.
+    Producers emit only when a trace is attached ([Some t]), so an
+    untraced run costs one branch and no allocation on the hot paths.
     The store is a fixed-capacity ring: when full, the {e oldest} events
     are overwritten ({!dropped} counts the overwritten ones), bounding
     memory for long serving runs. *)
@@ -31,10 +31,8 @@ type event =
   | Steal of { thief : int; victim : int; task_id : int; at_ns : float }
   | Park of { worker : int; at_ns : float }
   | Migration of { worker : int; from_core : int; to_core : int; at_ns : float }
-  | Policy of { worker : int; spread : int; at_ns : float }
   | Spread_change of { worker : int; old_spread : int; new_spread : int; at_ns : float }
   | Mode_switch of { from_mode : string; to_mode : string; at_ns : float }
-  | Rebind of { worker : int; node : int; regions : int; at_ns : float }
   | Job of { phase : job_phase; tenant : string; kind : string; job_id : int; at_ns : float }
   | Counter of { name : string; at_ns : float; series : (string * float) list }
   | Instant of { name : string; at_ns : float }
@@ -66,10 +64,7 @@ val create : ?capacity:int -> ?pid:int -> ?name:string -> unit -> t
 
 val pid : t -> int
 
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
-(** Event recording (no-ops when disabled). *)
+(** Event recording. *)
 
 val task_quantum :
   t -> worker:int -> core:int -> task_id:int -> start_ns:float -> end_ns:float -> unit
@@ -77,13 +72,11 @@ val task_quantum :
 val steal : t -> thief:int -> victim:int -> task_id:int -> at_ns:float -> unit
 val park : t -> worker:int -> at_ns:float -> unit
 val migration : t -> worker:int -> from_core:int -> to_core:int -> at_ns:float -> unit
-val policy_decision : t -> worker:int -> spread:int -> at_ns:float -> unit
 
 val spread_change :
   t -> worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit
 
 val mode_switch : t -> from_mode:string -> to_mode:string -> at_ns:float -> unit
-val rebind : t -> worker:int -> node:int -> regions:int -> at_ns:float -> unit
 
 val job :
   t -> phase:job_phase -> tenant:string -> kind:string -> job_id:int ->

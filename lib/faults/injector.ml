@@ -25,9 +25,9 @@ let apply_kind t ~at kind =
       Machine.set_mem_capacity_factor machine ~node factor
   | Schedule.Corruption { seed } -> Modifiers.arm_corruption mods ~seed);
   match Sched.trace t.sched with
-  | Some tr when Trace.enabled tr ->
+  | Some tr ->
       Trace.fault tr ~desc:(Schedule.describe kind) ~at_ns:at
-  | _ -> ()
+  | None -> ()
 
 let pump t frontier =
   while
@@ -47,7 +47,6 @@ let attach sched schedule =
   Sched.set_on_advance sched (Some (pump t));
   t
 
-let detach t = Sched.set_on_advance t.sched None
 let applied t = t.next
 let pending t = Array.length t.events - t.next
 

@@ -23,8 +23,6 @@ type config = {
   diurnal_period_us : float;
   faults : (int * Faults.Schedule.t) list;
   relocation : bool;
-  degraded_capacity : float;
-  degraded_sick : float;
   trace : bool;
 }
 
@@ -42,10 +40,13 @@ let default_config ~seed =
     diurnal_period_us = 4000.0;
     faults = [];
     relocation = true;
-    degraded_capacity = 0.75;
-    degraded_sick = 0.25;
     trace = false;
   }
+
+(* a shard is degraded, and its queue relocatable, below this effective
+   capacity or at/above this sick-chiplet fraction *)
+let relocate_below_capacity = 0.75
+let relocate_at_sick_fraction = 0.25
 
 let machine_name = Systems.machine_name
 
@@ -75,11 +76,13 @@ type result = {
 let validate (cfg : config) =
   if cfg.n_shards < 1 then invalid_arg "Cluster.run: n_shards < 1";
   if cfg.machines = [] then invalid_arg "Cluster.run: empty machine list";
-  if cfg.epoch_us <= 0.0 then invalid_arg "Cluster.run: epoch_us <= 0";
-  if cfg.diurnal_amplitude < 0.0 || cfg.diurnal_amplitude > 1.0 then
+  (* comparisons are written so that NaN fails them *)
+  if not (cfg.epoch_us > 0.0 && Float.is_finite cfg.epoch_us) then
+    invalid_arg "Cluster.run: epoch_us must be finite and > 0";
+  if not (cfg.diurnal_amplitude >= 0.0 && cfg.diurnal_amplitude <= 1.0) then
     invalid_arg "Cluster.run: diurnal amplitude outside [0, 1]";
-  if cfg.diurnal_period_us <= 0.0 then
-    invalid_arg "Cluster.run: diurnal period <= 0";
+  if not (cfg.diurnal_period_us > 0.0 && Float.is_finite cfg.diurnal_period_us)
+  then invalid_arg "Cluster.run: diurnal period must be finite and > 0";
   List.iter
     (fun (s, _) ->
       if s < 0 || s >= cfg.n_shards then
@@ -146,8 +149,7 @@ let generate_arrivals cfg =
              | Serving.Arrivals.Open_loop { rate_per_s } -> rate_per_s
              | Serving.Arrivals.Closed_loop _ -> assert false
            in
-           let arr_rng = Rng.create ((seed * 31) + (2 * ti) + 1) in
-           let mix_rng = Rng.create ((seed * 31) + (2 * ti)) in
+           let mix_rng, arr_rng = Server.tenant_rngs ~seed ti in
            let times =
              diurnal_times arr_rng ~rate_per_s:rate ~jobs:t.Server.jobs
                ~amplitude:cfg.diurnal_amplitude ~period_ns
@@ -336,9 +338,8 @@ let run cfg =
       views
   in
   let degraded (v : Router.view) =
-    v.Router.capacity <= 0.0
-    || v.Router.capacity < cfg.degraded_capacity
-    || v.Router.sick_fraction >= cfg.degraded_sick
+    v.Router.capacity < relocate_below_capacity
+    || v.Router.sick_fraction >= relocate_at_sick_fraction
   in
 
   let log = Buffer.create 4096 in
@@ -448,7 +449,9 @@ let run cfg =
   while !running do
     incr epochs;
     if !epochs > 1_000_000 then
-      failwith "Cluster.run: epoch cap exceeded (runaway fleet loop)";
+      invalid_arg
+        "Cluster.run: more than 1000000 epochs; --epoch-us is too small for \
+         this run";
     let t1 = !t0 +. epoch_ns in
     (* the fleet clock has reached [t0] globally: force-apply fault events
        an idle shard's scheduler (which only advances while draining) has

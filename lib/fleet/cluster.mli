@@ -5,9 +5,10 @@
     runtime system and serving session); the cluster advances them in
     lockstep epochs of [epoch_us] virtual microseconds:
 
-    + {b relocate} — if a shard is degraded (capacity below the threshold
-      or too many sick chiplets) and a healthy target exists, its queued
-      (admitted, not yet dispatched) jobs are drained and re-routed;
+    + {b relocate} — if a shard is degraded (effective capacity below
+      0.75 or at least a quarter of its chiplets sick) and a healthy
+      target exists, its queued (admitted, not yet dispatched) jobs are
+      drained and re-routed;
     + {b route} — cluster arrivals with timestamps inside the epoch are
       placed by the {!Router} policy against a per-shard load/health
       snapshot, then pass the target shard's own admission control;
@@ -43,8 +44,6 @@ type config = {
   relocation : bool;
       (** drain-and-requeue queued jobs off degraded shards at epoch
           boundaries *)
-  degraded_capacity : float;  (** relocate below this online capacity *)
-  degraded_sick : float;  (** ... or at/above this sick-chiplet fraction *)
   trace : bool;
       (** allocate a router trace (pid 0) plus one per shard (pid s+1),
           returned in [result.traces] for {!Engine.Trace.save_merged} *)

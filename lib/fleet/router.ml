@@ -6,13 +6,6 @@ let policy_name = function
   | Ewma -> "ewma"
   | Charm_aware -> "charm"
 
-let policy_of_string = function
-  | "round-robin" | "rr" -> Some Round_robin
-  | "least-loaded" | "ll" -> Some Least_loaded
-  | "ewma" -> Some Ewma
-  | "charm" | "charm-aware" -> Some Charm_aware
-  | _ -> None
-
 let all_policies = [ Round_robin; Least_loaded; Ewma; Charm_aware ]
 
 type view = {

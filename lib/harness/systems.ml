@@ -18,8 +18,6 @@ type sys =
   | Local_cache
   | Distributed_cache
 
-let all_baseline_systems = [ Ring; Shoal; Asymsched; Sam; Os_default ]
-
 let sys_name = function
   | Charm -> "charm"
   | Charm_os_threads -> "charm+std::async"

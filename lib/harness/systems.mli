@@ -29,9 +29,6 @@ type sys =
   | Local_cache
   | Distributed_cache
 
-val all_baseline_systems : sys list
-(** The four comparison systems of §5.1 (plus OS default). *)
-
 val sys_name : sys -> string
 
 val cli_systems : (string * sys) list

@@ -18,10 +18,6 @@ let get_int = function
   | Ints { data; _ } -> Array.get data
   | Floats _ -> invalid_arg "Column.get_int: float column"
 
-let get_float = function
-  | Floats { data; _ } -> Array.get data
-  | Ints { data; _ } -> fun i -> float_of_int data.(i)
-
 let sim = function Ints { sim; _ } -> sim | Floats { sim; _ } -> sim
 
 let scan_range ctx col ~lo ~hi =

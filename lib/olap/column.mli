@@ -18,9 +18,6 @@ val length : t -> int
 val get_int : t -> int -> int
 (** @raise Invalid_argument on a float column. *)
 
-val get_float : t -> int -> float
-(** Works on both (ints are converted). *)
-
 val sim : t -> Simmem.region
 
 val scan_range : Engine.Sched.ctx -> t -> lo:int -> hi:int -> unit

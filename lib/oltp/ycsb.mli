@@ -19,20 +19,11 @@ type mix = {
 val workload_a : mix
 (** 50 read / 50 update *)
 
-val workload_b : mix
-(** 95 read / 5 update *)
-
 val workload_c : mix
 (** 100 read *)
 
-val workload_d : mix
-(** 95 read / 5 insert *)
-
 val workload_e : mix
 (** 95 scan / 5 insert *)
-
-val workload_f : mix
-(** 50 read / 50 read-modify-write *)
 
 val paper_mix : mix
 (** 45 read / 55 read-modify-write (paper §5.1) *)

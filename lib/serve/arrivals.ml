@@ -2,11 +2,6 @@ type process =
   | Open_loop of { rate_per_s : float }
   | Closed_loop of { clients : int; think_ns : float }
 
-let pp_process ppf = function
-  | Open_loop { rate_per_s } -> Format.fprintf ppf "open-loop %.1f jobs/s" rate_per_s
-  | Closed_loop { clients; think_ns } ->
-      Format.fprintf ppf "closed-loop %d clients, think %.0f ns" clients think_ns
-
 let poisson_times ~rng ~rate_per_s ~jobs =
   (* written so NaN fails too: a NaN gap never advances the clock *)
   if not (rate_per_s > 0.0 && Float.is_finite rate_per_s) then

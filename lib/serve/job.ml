@@ -84,28 +84,16 @@ let pick_kind rng mix =
   in
   go 0 mix
 
-type data_config = {
-  graph_scale : int;
-  edge_factor : int;
-  tpch_sf : float;
-  ycsb_records : int;
-  gups_table_words : int;
-  pagerank_iterations : int;
-  dag_comm_aware : bool;
-  seed : int;
-}
+type data_config = { graph_scale : int; dag_comm_aware : bool; seed : int }
 
-let default_data_config =
-  {
-    graph_scale = 10;
-    edge_factor = 8;
-    tpch_sf = 0.002;
-    ycsb_records = 4096;
-    gups_table_words = 1 lsl 14;
-    pagerank_iterations = 2;
-    dag_comm_aware = true;
-    seed = 7;
-  }
+let default_data_config = { graph_scale = 10; dag_comm_aware = true; seed = 7 }
+
+(* fixed dataset sizes, small enough for serving experiments *)
+let edge_factor = 8
+let tpch_sf = 0.002
+let ycsb_records = 4096
+let gups_table_words = 1 lsl 14
+let pagerank_iterations = 2
 
 type data = {
   cfg : data_config;
@@ -127,7 +115,7 @@ let prepare env cfg =
   let graph =
     Workloads.Csr.of_kronecker ~weighted:false ~alloc
       (Workloads.Kronecker.generate ~seed:cfg.seed ~scale:cfg.graph_scale
-         ~edge_factor:cfg.edge_factor ())
+         ~edge_factor ())
   in
   let n = graph.Workloads.Csr.n in
   {
@@ -136,12 +124,12 @@ let prepare env cfg =
     bfs_levels = alloc ~elt_bytes:8 ~count:n;
     pr_ranks = alloc ~elt_bytes:8 ~count:n;
     pr_next = alloc ~elt_bytes:8 ~count:n;
-    tpch = Olap.Tpch_data.generate ~alloc ~seed:(cfg.seed + 1) ~sf:cfg.tpch_sf ();
+    tpch = Olap.Tpch_data.generate ~alloc ~seed:(cfg.seed + 1) ~sf:tpch_sf ();
     ycsb_table =
       Oltp.Storage.create_table ~alloc ~name:"serve-usertable"
-        ~rows:cfg.ycsb_records ~payload_words:13;
+        ~rows:ycsb_records ~payload_words:13;
     txn = Oltp.Txn.create ~alloc ();
-    gups_table = alloc ~elt_bytes:8 ~count:cfg.gups_table_words;
+    gups_table = alloc ~elt_bytes:8 ~count:gups_table_words;
     alloc;
   }
 
@@ -153,8 +141,7 @@ let graph d = d.graph
    ~8 ns per stored row, YCSB ~600 ns per transaction *)
 let cost_estimate d = function
   | Bfs -> 4.5 *. float_of_int d.graph.Workloads.Csr.m
-  | Pagerank ->
-      3.0 *. float_of_int (d.cfg.pagerank_iterations * d.graph.Workloads.Csr.m)
+  | Pagerank -> 3.0 *. float_of_int (pagerank_iterations * d.graph.Workloads.Csr.m)
   | Gups n -> 130.0 *. float_of_int n
   | Tpch q ->
       let rows = float_of_int (Olap.Tpch_data.total_rows d.tpch) in
@@ -186,9 +173,8 @@ let pick_source d rng =
 
 let run_gups ctx d rng updates =
   if updates <= 0 then invalid_arg "Job.run: gups updates <= 0";
-  let words = d.cfg.gups_table_words in
   for i = 0 to updates - 1 do
-    let idx = Engine.Rng.int rng words in
+    let idx = Engine.Rng.int rng gups_table_words in
     Sched.Ctx.read ctx d.gups_table idx;
     Sched.Ctx.write ctx d.gups_table idx;
     Sched.Ctx.work ctx 2.0;
@@ -200,9 +186,8 @@ let run_gups ctx d rng updates =
    reduced to a batch that runs inside one serving task *)
 let run_ycsb ctx d rng ops =
   if ops <= 0 then invalid_arg "Job.run: ycsb batch <= 0";
-  let records = d.cfg.ycsb_records in
   for i = 0 to ops - 1 do
-    let key = Engine.Rng.int rng records in
+    let key = Engine.Rng.int rng ycsb_records in
     let dice = Engine.Rng.int rng 100 in
     if dice < 45 then ignore (Oltp.Storage.read_record ctx d.ycsb_table key : int)
     else begin
@@ -260,7 +245,7 @@ let run ctx d ~seed kind =
   | Pagerank ->
       let _, updates =
         Workloads.Pagerank.run_in ctx d.graph ~ranks:d.pr_ranks ~next:d.pr_next
-          ~iterations:d.cfg.pagerank_iterations ()
+          ~iterations:pagerank_iterations ()
       in
       updates
   | Gups n -> run_gups ctx d rng n

@@ -35,11 +35,6 @@ val pick_kind : Engine.Rng.t -> (kind * int) list -> kind
 
 type data_config = {
   graph_scale : int;  (** log2 vertices of the shared Kronecker graph *)
-  edge_factor : int;
-  tpch_sf : float;
-  ycsb_records : int;
-  gups_table_words : int;
-  pagerank_iterations : int;
   dag_comm_aware : bool;
       (** map task-DAG jobs with the communication-aware mapper (default)
           instead of the blind round-robin baseline *)
@@ -47,8 +42,9 @@ type data_config = {
 }
 
 val default_data_config : data_config
-(** Small datasets sized for serving experiments (scale-10 graph,
-    SF 0.002 TPC-H, 4 Ki-record YCSB table). *)
+(** A scale-10 graph.  The other datasets have fixed sizes: edge factor
+    8, SF 0.002 TPC-H, a 4 Ki-record YCSB table, a 16 Ki-word GUPS table
+    and two PageRank iterations per job. *)
 
 type data
 

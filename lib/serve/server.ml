@@ -71,6 +71,10 @@ let default_config ~seed =
     check = false;
   }
 
+let tenant_rngs ~seed idx =
+  let base = (seed * 31) + (2 * idx) in
+  (Engine.Rng.create base, Engine.Rng.create (base + 1))
+
 type tenant_report = {
   tenant : string;
   submitted : int;
@@ -101,6 +105,7 @@ type tenant_state = {
   idx : int;
   mix_rng : Engine.Rng.t;  (** kind choice + per-job seeds *)
   arrival_rng : Engine.Rng.t;
+  mean_cost : float;  (** weighted mean {!Job.cost_estimate} of the mix *)
   slo : float;
   mutable submitted : int;
   mutable admitted : int;
@@ -137,6 +142,9 @@ type relocatable = {
 let validate cfg =
   if cfg.tenants = [] then invalid_arg "Server.run: no tenants";
   if cfg.max_inflight < 1 then invalid_arg "Server.run: max_inflight < 1";
+  if cfg.admission.Admission.max_queue_per_tenant < 1
+     || cfg.admission.Admission.max_global_queue < 1
+  then invalid_arg "Server.run: admission queue bounds must be >= 1";
   List.iter
     (fun t ->
       if t.weight <= 0.0 then invalid_arg "Server.run: tenant weight <= 0";
@@ -152,7 +160,8 @@ let validate cfg =
       | Arrivals.Open_loop { rate_per_s } ->
           if not (rate_per_s > 0.0 && Float.is_finite rate_per_s) then
             invalid_arg "Server.run: open-loop rate must be finite and > 0"
-      | Arrivals.Closed_loop { think_ns; _ } ->
+      | Arrivals.Closed_loop { clients; think_ns } ->
+          if clients < 1 then invalid_arg "Server.run: closed-loop clients < 1";
           if not (think_ns >= 0.0 && Float.is_finite think_ns) then
             invalid_arg "Server.run: closed-loop think time must be finite and >= 0")
     cfg.tenants
@@ -288,11 +297,13 @@ let create inst cfg =
           in
           num /. float_of_int den
         in
+        let mix_rng, arrival_rng = tenant_rngs ~seed:cfg.seed idx in
         {
           cfg_t = t;
           idx;
-          mix_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx));
-          arrival_rng = Engine.Rng.create ((cfg.seed * 31) + (2 * idx) + 1);
+          mix_rng;
+          arrival_rng;
+          mean_cost;
           slo = t.slo_factor *. mean_cost;
           submitted = 0;
           admitted = 0;
@@ -313,7 +324,7 @@ let create inst cfg =
   Array.iter (fun st -> Fair_queue.add_tenant fq ~tenant:st.idx ~weight:st.cfg_t.weight) tenants;
 
   (* trace sink: under CHARM wire every layer (scheduler, policy,
-     controller, memory manager); baselines get the scheduler events *)
+     controller, health monitor); baselines get the scheduler events *)
   (match cfg.trace with
   | Some tr -> (
       match inst.Systems.charm with
@@ -336,7 +347,7 @@ let create inst cfg =
         (fun s w ->
           Metrics.incr registry "sched.quanta";
           (match cfg.trace with
-          | Some tr when Engine.Trace.enabled tr ->
+          | Some tr ->
               let now = Sched.worker_clock s w in
               if now -. !last_fills_ns >= counter_interval_ns then begin
                 let fills = Pmu.fill_classes (Machine.pmu inst.Systems.machine) in
@@ -352,7 +363,7 @@ let create inst cfg =
                 last_fills := fills;
                 last_fills_ns := now
               end
-          | _ -> ());
+          | None -> ());
           base_hooks.Sched.on_quantum_end s w);
     };
   {
@@ -376,9 +387,9 @@ let create inst cfg =
 
 let trace_job sess ~phase ~tenant ~kind ~job_id ~at_ns =
   match sess.cfg.trace with
-  | Some tr when Engine.Trace.enabled tr ->
+  | Some tr ->
       Engine.Trace.job tr ~phase ~tenant ~kind:(Job.kind_name kind) ~job_id ~at_ns
-  | _ -> ()
+  | None -> ()
 
 (* dispatcher: drain the fair queue into at most [max_inflight]
    concurrently running jobs, each a future-dispatched scheduler task.
@@ -486,14 +497,14 @@ and finish_group sess ctx st p ~tokens ~corrupted ~items =
     if Int64.equal voted (Replica.majority tokens) then
       Metrics.incr sess.registry "serve.replica.masked";
     match sess.cfg.trace with
-    | Some tr when Engine.Trace.enabled tr ->
+    | Some tr ->
         Engine.Trace.instant tr
           ~name:
             (Printf.sprintf
                "replica divergence: tenant %s job %d (%d of %d corrupted)"
                st.cfg_t.name p.id corrupted (Array.length tokens))
           ~at_ns:(Sched.Ctx.now ctx)
-    | _ -> ()
+    | None -> ()
   end;
   if sess.cfg.check then begin
     (* replica-agreement invariants (Check.Invariants): the voted result
@@ -676,20 +687,11 @@ let queued_cost sess =
   let total = ref 0.0 in
   Array.iter
     (fun st ->
-      let mean_cost =
-        let num, den =
-          List.fold_left
-            (fun (num, den) (k, w) ->
-              (num +. (float_of_int w *. Job.cost_estimate sess.data k), den + w))
-            (0.0, 0) st.cfg_t.mix
-        in
-        num /. float_of_int den
-      in
       (* a replicated tenant's queued job will run [replicas] times *)
       total :=
         !total
         +. (float_of_int (Fair_queue.tenant_depth sess.fq ~tenant:st.idx)
-           *. mean_cost
+           *. st.mean_cost
            *. float_of_int st.cfg_t.replicas))
     sess.tenants;
   !total
@@ -837,7 +839,6 @@ let run inst cfg =
                 if n > 0 then
                   ignore (Sched.Ctx.spawn ctx ~at:times.(0) (arrive 0) : Sched.task)
             | Arrivals.Closed_loop { clients; think_ns } ->
-                let clients = max 1 clients in
                 for c = 0 to clients - 1 do
                   let quota =
                     (st.cfg_t.jobs / clients)

@@ -49,7 +49,7 @@ type config = {
   trace : Engine.Trace.t option;
       (** when present, wired through every layer for the run: scheduler
           quantum/steal/park/migration events (plus policy, controller and
-          memory-manager events under CHARM), job lifecycle instants
+          health-monitor events under CHARM), job lifecycle instants
           (admit/shed/start/finish) and a periodic machine-wide fill-class
           counter track sampled every 50 us of virtual time *)
   on_complete :
@@ -71,6 +71,12 @@ type config = {
 val default_config : seed:int -> config
 (** Three open-loop tenants (graph / OLAP / OLTP+GUPS mixes) with weights
     2:1:1 at 5000 jobs/s each, 40 jobs per tenant. *)
+
+val tenant_rngs : seed:int -> int -> Engine.Rng.t * Engine.Rng.t
+(** [tenant_rngs ~seed i] is tenant [i]'s (job mix, arrival times) RNG
+    pair: kind draws and per-job seeds come from the first, arrival gaps
+    from the second.  The single-machine server and the fleet's up-front
+    arrival generation both seed their tenants through it. *)
 
 type tenant_report = {
   tenant : string;

@@ -93,11 +93,11 @@ let run ?(tenant = "dag") ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
         if pending.(s) = 0 then spawn_node ctx' s)
       g.Graph.succs.(i);
     match trace with
-    | Some tr when Engine.Trace.enabled tr ->
+    | Some tr ->
         Engine.Trace.dag_node tr ~tenant ~job_id ~node:i
           ~op:(Graph.op_name nd.Graph.op) ~chiplet:dst ~start_ns:start
           ~end_ns:stop
-    | _ -> ()
+    | None -> ()
   and spawn_node ctx' i =
     let at =
       Array.fold_left

@@ -16,7 +16,6 @@ open Chipsim
 type policy = Blind | Comm_aware
 
 val policy_name : policy -> string
-val policy_of_name : string -> policy option
 val all_policies : policy list
 
 type t = {

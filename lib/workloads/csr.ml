@@ -81,8 +81,3 @@ let read_adj ctx t u =
   Engine.Sched.Ctx.read ctx t.sim_row u;
   let lo = t.row_ptr.(u) and hi = t.row_ptr.(u + 1) in
   if hi > lo then Engine.Sched.Ctx.read_range ctx t.sim_col ~lo ~hi
-
-let read_vertex ctx region i = Engine.Sched.Ctx.read ctx region i
-let write_vertex ctx region i = Engine.Sched.Ctx.write ctx region i
-
-let approx_bytes t = 8 * ((t.n + 1) + t.m + t.m)

@@ -44,9 +44,3 @@ val out_neighbors : t -> int -> (int -> int -> unit) -> unit
 val read_adj : Engine.Sched.ctx -> t -> int -> unit
 (** Touch the row pointer and the whole adjacency range of a vertex
     (sequential edge scan). *)
-
-val read_vertex : Engine.Sched.ctx -> Simmem.region -> int -> unit
-val write_vertex : Engine.Sched.ctx -> Simmem.region -> int -> unit
-
-val approx_bytes : t -> int
-(** Total simulated footprint (row + col + weight). *)

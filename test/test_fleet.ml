@@ -152,6 +152,33 @@ let test_negative_shards_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "n_shards = -1 accepted"
 
+(* input boundary: each of these used to hang (the diurnal thinning loop
+   never accepted an arrival) or die on an uncaught runaway-loop failure;
+   all must be rejected as a bad configuration *)
+let rejected ~says f () =
+  match Cluster.run (f (base_config ~seed:1 ())) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) (Printf.sprintf "%S names %S" msg says) true
+        (contains msg says)
+  | _ -> Alcotest.failf "accepted; expected a rejection naming %S" says
+
+let test_nan_diurnal_rejected =
+  rejected ~says:"diurnal amplitude" (fun c ->
+      { c with Cluster.diurnal_amplitude = Float.nan })
+
+let test_nan_diurnal_period_rejected =
+  rejected ~says:"diurnal period" (fun c ->
+      { c with Cluster.diurnal_amplitude = 0.5; diurnal_period_us = Float.nan })
+
+let test_nan_epoch_rejected =
+  rejected ~says:"epoch_us must be finite" (fun c ->
+      { c with Cluster.epoch_us = Float.nan })
+
+let test_tiny_epoch_rejected =
+  (* finite and positive, but a million epochs never reach the first
+     arrival: the epoch cap must surface as a configuration error *)
+  rejected ~says:"--epoch-us" (fun c -> { c with Cluster.epoch_us = 1e-300 })
+
 (* -- planted bugs: the invariants must catch them ----------------------- *)
 
 let with_plant kind f =
@@ -289,6 +316,12 @@ let () =
           Alcotest.test_case "no-relocation flag" `Quick test_no_relocation_flag;
           Alcotest.test_case "router skips offline shard" `Quick
             test_router_skips_offline_shard;
+          Alcotest.test_case "nan diurnal amplitude rejected" `Quick
+            test_nan_diurnal_rejected;
+          Alcotest.test_case "nan diurnal period rejected" `Quick
+            test_nan_diurnal_period_rejected;
+          Alcotest.test_case "nan epoch rejected" `Quick test_nan_epoch_rejected;
+          Alcotest.test_case "tiny epoch rejected" `Quick test_tiny_epoch_rejected;
           Alcotest.test_case "negative shard count rejected" `Quick
             test_negative_shards_rejected;
           Alcotest.test_case "planted drop-relocated trips" `Quick

@@ -83,15 +83,14 @@ let prop_intel_collision_free =
       else Option.is_some (Placement.gang topo ~spread_rate ~n_workers))
 
 (* heterogeneity: a gang on a big/little machine fills big chiplets
-   first, and ~prefer_fast:false (or a homogeneous machine) restores the
-   historical identity order *)
+   first; a homogeneous machine keeps the identity order *)
 let hetero () =
   Topology.v ~sockets:1 ~chiplets_per_socket:4 ~cores_per_chiplet:2
     ~chiplet_group_size:2 ~l3_bytes_per_chiplet:(16 * 1024)
     ~l2_bytes_per_core:4096 ~mem_channels_per_socket:2
     ~chiplet_kinds:[| Topology.Little; Accel; Big; Little |] ()
 
-let test_prefer_big_cores () =
+let test_big_cores_first () =
   let topo = hetero () in
   (match Placement.gang topo ~spread_rate:2 ~n_workers:4 with
   | None -> Alcotest.fail "valid gang expected"
@@ -102,11 +101,6 @@ let test_prefer_big_cores () =
          general chiplets *)
       Alcotest.(check (array int)) "fast general chiplets first"
         [| 4; 0; 5; 1 |] cores);
-  (match Placement.gang ~prefer_fast:false topo ~spread_rate:2 ~n_workers:4 with
-  | None -> Alcotest.fail "valid gang expected"
-  | Some cores ->
-      Alcotest.(check (array int)) "identity order when disabled"
-        [| 0; 2; 1; 3 |] cores);
   match Placement.gang (amd ()) ~spread_rate:1 ~n_workers:8 with
   | None -> Alcotest.fail "valid gang expected"
   | Some cores ->
@@ -148,7 +142,7 @@ let suite =
     Alcotest.test_case "numa node of core" `Quick test_numa_node_of_core;
     Alcotest.test_case "out-of-range worker" `Quick test_out_of_range_worker;
     Alcotest.test_case "big cores preferred on hetero machines" `Quick
-      test_prefer_big_cores;
+      test_big_cores_first;
     QCheck_alcotest.to_alcotest prop_collision_free;
     QCheck_alcotest.to_alcotest prop_intel_collision_free;
     QCheck_alcotest.to_alcotest prop_hetero_collision_free;

@@ -135,6 +135,30 @@ let test_centralized_charges_arbiter () =
   Alcotest.(check bool) "coordination cost charged" true
     (Sched.worker_clock sched 0 -. before >= 8.0 *. 12.0)
 
+let test_flee_prefers_faster_kind () =
+  (* one socket, groups {0,1} and {2,3}; a 4-worker gang fills big
+     chiplets 0 and 1.  When chiplet 0 turns sick, worker 0's nearest
+     free cores are all one group away: little chiplet 2 (cores 4-5) and
+     big chiplet 3 (cores 6-7).  Equal distance, so the faster kind wins
+     over the lower core number. *)
+  let topo =
+    Topology.v ~sockets:1 ~chiplets_per_socket:4 ~cores_per_chiplet:2
+      ~chiplet_group_size:2 ~l3_bytes_per_chiplet:(16 * 1024)
+      ~l2_bytes_per_core:4096 ~mem_channels_per_socket:2
+      ~chiplet_kinds:[| Topology.Big; Big; Little; Big |] ()
+  in
+  let rt = Charm.Runtime.init (Machine.create topo) ~n_workers:4 in
+  let sched = Charm.Runtime.sched rt in
+  let policy = Charm.Runtime.policy rt in
+  Alcotest.(check (list int)) "gang on chiplets 0 and 1" [ 0; 1; 2; 3 ]
+    (List.sort compare (List.init 4 (Sched.worker_core sched)));
+  Alcotest.(check int) "worker 0 on chiplet 0" 0 (Sched.worker_core sched 0);
+  Charm.Policy.set_health policy (Some (fun chiplet -> chiplet = 0));
+  Charm.Policy.force_tick policy sched ~worker:0;
+  Alcotest.(check int) "fled to the big chiplet" 6 (Sched.worker_core sched 0);
+  Alcotest.(check int) "health migration counted" 1
+    (Charm.Policy.stats policy).Charm.Policy.health_migrations
+
 let suite =
   [
     Alcotest.test_case "spreads on high rate" `Quick test_spreads_on_high_rate;
@@ -146,4 +170,6 @@ let suite =
     Alcotest.test_case "timer gates ticks" `Quick test_timer_gates_tick;
     Alcotest.test_case "centralized uniform spread" `Quick test_centralized_uniform_spread;
     Alcotest.test_case "centralized coordination cost" `Quick test_centralized_charges_arbiter;
+    Alcotest.test_case "flee prefers the faster kind" `Quick
+      test_flee_prefers_faster_kind;
   ]

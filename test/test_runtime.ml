@@ -128,6 +128,49 @@ let test_adaptation_under_pressure () =
   Alcotest.(check bool) "policy made spread decisions" true
     (st.Charm.Policy.spreads > 0)
 
+(* Golden runs: a chiplet meltdown makes the health monitor flag a
+   chiplet and the gang flee it; the makespan bits and policy counters pin
+   every placement and flee decision.  The tiny-hetero case depends on the
+   fast-first placement order, the accelerator penalty on flee targets and
+   the general-chiplet spread cap; the big.LITTLE case pins a larger
+   two-socket gang. *)
+let golden_flee_run ~file ~n_workers ~chiplet ~count =
+  let topo =
+    match Topology.of_file (Filename.concat "../examples/topologies" file) with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  let machine = Machine.create topo in
+  let rt = Runtime.init machine ~n_workers in
+  ignore
+    (Faults.Injector.attach (Runtime.sched rt)
+       (Faults.Schedule.chiplet_meltdown ~topo ~chiplet ~at_us:100.0 ())
+      : Faults.Injector.t);
+  let region = Runtime.alloc_shared rt ~elt_bytes:8 ~count () in
+  let chunk = count / n_workers in
+  let makespan =
+    Runtime.all_do rt (fun ctx w ->
+        for _pass = 1 to 40 do
+          Sched.Ctx.read_range ctx region ~lo:(w * chunk) ~hi:((w + 1) * chunk);
+          Sched.Ctx.yield ctx
+        done)
+  in
+  (Int64.bits_of_float makespan, Charm.Policy.stats (Runtime.policy rt))
+
+let test_golden_flee () =
+  let check ~file ~n_workers ~chiplet ~count ~bits ~migrations ~health ~spreads =
+    let got_bits, st = golden_flee_run ~file ~n_workers ~chiplet ~count in
+    Alcotest.(check int64) (file ^ " makespan bits") bits got_bits;
+    Alcotest.(check int) (file ^ " migrations") migrations st.Charm.Policy.migrations;
+    Alcotest.(check int) (file ^ " health migrations") health
+      st.Charm.Policy.health_migrations;
+    Alcotest.(check int) (file ^ " spreads") spreads st.Charm.Policy.spreads
+  in
+  check ~file:"biglittle.topo" ~n_workers:12 ~chiplet:0 ~count:(1 lsl 16)
+    ~bits:4694635731432711840L ~migrations:6 ~health:3 ~spreads:12;
+  check ~file:"tiny-hetero.topo" ~n_workers:3 ~chiplet:2 ~count:(1 lsl 12)
+    ~bits:4690080433068473839L ~migrations:2 ~health:1 ~spreads:3
+
 let suite =
   [
     Alcotest.test_case "init compact placement" `Quick test_init_places_compactly;
@@ -141,4 +184,5 @@ let suite =
     Alcotest.test_case "barrier API" `Quick test_barrier_api;
     Alcotest.test_case "finalize reports" `Quick test_finalize_reports;
     Alcotest.test_case "adapts under cache pressure" `Quick test_adaptation_under_pressure;
+    Alcotest.test_case "golden flee run" `Quick test_golden_flee;
   ]

@@ -73,6 +73,36 @@ let test_negative_think_rejected () =
             Server.process = Arrivals.Closed_loop { clients = 2; think_ns = -1000.0 };
           }))
 
+let test_no_closed_loop_clients_rejected () =
+  (* these used to run silently as one client *)
+  List.iter
+    (fun clients ->
+      rejects (Printf.sprintf "%d closed-loop clients" clients) (fun () ->
+          run_tenant (fun t ->
+              {
+                t with
+                Server.process = Arrivals.Closed_loop { clients; think_ns = 0.0 };
+              })))
+    [ 0; -3 ]
+
+let test_zero_queue_bound_rejected () =
+  (* these used to be raised silently to 1 by Admission.scale's floor *)
+  let inst = Sys_.make ~cache_scale:16 Sys_.Charm Sys_.Amd_milan_1s ~n_workers:2 () in
+  let base = Server.default_config ~seed:1 in
+  List.iter
+    (fun (per_tenant, global) ->
+      rejects (Printf.sprintf "queue bounds %d/%d" per_tenant global) (fun () ->
+          Server.run inst
+            {
+              base with
+              Server.admission =
+                {
+                  Admission.max_queue_per_tenant = per_tenant;
+                  max_global_queue = global;
+                };
+            }))
+    [ (0, 0); (-1, -2); (4, 0) ]
+
 (* -- histogram --------------------------------------------------------- *)
 
 let test_histogram_quantiles () =
@@ -374,6 +404,10 @@ let suite =
     Alcotest.test_case "bad slo factor rejected" `Quick test_bad_slo_rejected;
     Alcotest.test_case "negative think time rejected" `Quick
       test_negative_think_rejected;
+    Alcotest.test_case "no closed-loop clients rejected" `Quick
+      test_no_closed_loop_clients_rejected;
+    Alcotest.test_case "zero queue bound rejected" `Quick
+      test_zero_queue_bound_rejected;
     Alcotest.test_case "histogram quantiles" `Quick test_histogram_quantiles;
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram p999" `Quick test_histogram_p999;

@@ -275,15 +275,12 @@ let accel_cores = Topology.cores_of_chiplet hetero_topo 3
 
 let test_gang_avoids_accel () =
   (* a gang that fits on the general chiplets must never touch the accel
-     chiplet under prefer_fast, at any spread the general band allows *)
+     chiplet, at any spread the general band allows *)
   let max_spread = Charm.Placement.max_general_spread hetero_topo ~n_workers:4 in
   Alcotest.(check int) "general spread caps at the general band" 3 max_spread;
   for spread_rate = 1 to max_spread do
     if Charm.Placement.valid_spread hetero_topo ~spread_rate ~n_workers:4 then
-      match
-        Charm.Placement.gang ~prefer_fast:true hetero_topo ~spread_rate
-          ~n_workers:4
-      with
+      match Charm.Placement.gang hetero_topo ~spread_rate ~n_workers:4 with
       | None -> ()
       | Some cores ->
           Array.iter
@@ -294,9 +291,7 @@ let test_gang_avoids_accel () =
             cores
   done;
   (* a gang too big for the general band does reach the accel chiplet *)
-  match
-    Charm.Placement.gang ~prefer_fast:true hetero_topo ~spread_rate:4 ~n_workers:8
-  with
+  match Charm.Placement.gang hetero_topo ~spread_rate:4 ~n_workers:8 with
   | None -> Alcotest.fail "full-machine gang rejected"
   | Some cores ->
       Alcotest.(check bool) "8 workers must use the accel chiplet" true
