@@ -1,6 +1,6 @@
-(* Core engine throughput: simulated events/sec and wall-clock for three
-   standard scenarios — a batch morsel scan, an online serving run and a
-   small fleet.  This is the perf trajectory of the discrete-event core
+(* Core engine throughput: simulated events/sec and wall-clock for four
+   standard scenarios — a batch morsel scan, an online serving run, a
+   small fleet, and the same fleet serving task-DAG and TPC-H tenants.  This is the perf trajectory of the discrete-event core
    itself (scheduler event loop + per-access memory model): every PR runs
    [bench core --json] in CI and diffs events/sec against the committed
    BENCH_core.json baseline, so "measurably faster" (or slower) is visible
@@ -112,7 +112,7 @@ let run_serve () =
 
 (* -- fleet: a small cluster (event counts multiplied by N shards) *)
 
-let run_fleet () =
+let run_cluster tenants =
   let base = Cluster.default_config ~seed:42 in
   let serve = base.Cluster.serve in
   let tenants =
@@ -123,7 +123,7 @@ let run_fleet () =
           Server.process = Serving.Arrivals.Open_loop { rate_per_s = 8_000.0 };
           jobs = 30;
         })
-      serve.Server.tenants
+      (tenants serve.Server.tenants)
   in
   let cfg =
     {
@@ -147,8 +147,31 @@ let run_fleet () =
   in
   (events, wall, res.Cluster.makespan_ns, words)
 
+(* the default three tenants *)
+let run_fleet () = run_cluster Fun.id
+
+(* -- dag-fleet: the same cluster serving task-DAG inference (the DAG
+   generator, mapper and edge transfers) next to TPC-H queries *)
+
+let run_dag_fleet () =
+  run_cluster (function
+    | t :: _ ->
+        let dag shape = (Serving.Job.Dag (shape, 6), 1) in
+        let tpch q = (Serving.Job.Tpch q, 1) in
+        [
+          { t with Server.name = "infer"; weight = 2.0;
+                   mix = List.map dag Taskgraph.Graph.all_shapes };
+          { t with Server.name = "olap"; weight = 1.0; mix = List.map tpch [ 1; 3; 6 ] };
+        ]
+    | [] -> assert false)
+
 let scenarios =
-  [ ("batch", run_batch); ("serve", run_serve); ("fleet", run_fleet) ]
+  [
+    ("batch", run_batch);
+    ("serve", run_serve);
+    ("fleet", run_fleet);
+    ("dag-fleet", run_dag_fleet);
+  ]
 
 (* [bench diff] against BENCH_core.json: event counts and makespans are
    deterministic (equal seeds), so any drift is a semantic change and
@@ -163,7 +186,7 @@ let diff_schema =
 
 let run () =
   Util.section "Core - engine throughput (simulated events/sec per scenario)";
-  Util.row "  %-8s %12s %9s %14s %12s %12s\n" "scenario" "events" "wall(s)"
+  Util.row "  %-9s %12s %9s %14s %12s %12s\n" "scenario" "events" "wall(s)"
     "events/sec" "makespan(us)" "words/event";
   List.iter
     (fun (name, f) ->
@@ -185,7 +208,7 @@ let run () =
       let wall, makespan, words = Option.get !best in
       let eps = float_of_int !events0 /. Float.max 1e-9 wall in
       let words_per_event = words /. float_of_int !events0 in
-      Util.row "  %-8s %12d %9.3f %14.0f %12.1f %12.4f\n" name !events0 wall eps
+      Util.row "  %-9s %12d %9.3f %14.0f %12.1f %12.4f\n" name !events0 wall eps
         (makespan /. 1e3) words_per_event;
       Util.json_row ~experiment:"core"
         [

@@ -4,7 +4,7 @@ type region = {
   base : int;
   length_bytes : int;
   elt_bytes : int;
-  mutable region_policy : policy;
+  region_policy : policy;
 }
 
 type t = {
@@ -114,22 +114,6 @@ let node_of_addr t ~toucher_node a =
     t.node_pages.(node) <- t.node_pages.(node) + 1;
     node
   end
-
-let rebind t region policy =
-  (match policy with
-  | Bind n when n < 0 || n >= t.topo.Topology.sockets ->
-      invalid_arg "Simmem.rebind: bind node out of range"
-  | _ -> ());
-  region.region_policy <- policy;
-  let first = region.base / page_bytes in
-  let last = (region.base + region.length_bytes - 1) / page_bytes in
-  for page = first to last do
-    let node = page_node t page in
-    if node >= 0 then begin
-      t.node_pages.(node) <- t.node_pages.(node) - 1;
-      set_page_node t page (-1)
-    end
-  done
 
 let placed_pages t ~node =
   if node < 0 || node >= Array.length t.node_pages then

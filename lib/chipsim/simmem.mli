@@ -18,7 +18,7 @@ type region = {
   base : int;  (** simulated byte address of the first element *)
   length_bytes : int;
   elt_bytes : int;
-  mutable region_policy : policy;
+  region_policy : policy;
 }
 
 val create : Topology.t -> t
@@ -35,10 +35,6 @@ val addr : region -> int -> int
 val node_of_addr : t -> toucher_node:int -> int -> int
 (** NUMA node holding the page of a simulated address, placing the page
     per the owning region's policy if this is the first touch. *)
-
-val rebind : t -> region -> policy -> unit
-(** Change the region's policy and drop existing page placements so pages
-    migrate on next touch (models [mbind(MPOL_MF_MOVE)] cheaply). *)
 
 val placed_pages : t -> node:int -> int
 (** Number of pages currently resident on [node]. *)

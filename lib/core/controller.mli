@@ -23,6 +23,15 @@ val decide : t -> ?degraded:bool -> Profiler.sample -> decision
     flagged sick) halves the threshold so the policy spreads away from
     known-bad silicon with half the usual evidence. *)
 
+val decide_mode : t -> remote:int -> remote_chiplet:int -> dram:int -> Config.approach
+(** {!decide}'s mode (with the same switch accounting) from a sample's
+    {!Profiler.remote_events}, [remote_chiplet] and [dram] counts,
+    without building a sample or a decision. *)
+
+val threshold_of : Config.t -> degraded:bool -> Config.approach -> float
+(** {!decide}'s threshold for a concrete mode: a pure function of the
+    configuration, so callers can tabulate it once. *)
+
 val mode_switches : t -> int
 (** Number of times adaptive mode changed direction (for stats).  The
     first concrete resolution after {!create} is not a switch. *)

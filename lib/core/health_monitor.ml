@@ -28,9 +28,10 @@ let min_samples = 4  (* per-chiplet EWMA updates before it can be judged *)
 
 type event = { chiplet : int; sick : bool; at_ns : float }
 
+(* The float state lives in float arrays on [t] (fast EWMA, slow
+   baseline, per-worker memory time), not in these records: a float
+   field of a mixed record is boxed, so every sample would allocate. *)
 type chiplet_state = {
-  mutable ewma : float;
-  mutable baseline : float;  (* slow EWMA, frozen while sick *)
   mutable samples : int;
   mutable strikes : int;
   mutable healthy_streak : int;
@@ -39,14 +40,16 @@ type chiplet_state = {
 
 type worker_state = {
   mutable last_core : int;
-  mutable last_mem_ns : float;
   mutable last_accesses : int;
 }
 
 type t = {
   machine : Machine.t;
   chiplets : chiplet_state array;
+  ewma : float array;  (* per chiplet: fast EWMA of ns per access *)
+  baseline : float array;  (* per chiplet: slow EWMA, frozen while sick *)
   workers : worker_state array;
+  last_mem_ns : float array;  (* per worker *)
   scratch : float array;  (* [median_ewma]'s sort buffer, one slot per chiplet *)
   mutable mods_generation : int;
   mutable first_flag_ns : float option;
@@ -63,16 +66,15 @@ let create machine ~n_workers =
     chiplets =
       Array.init (Topology.num_chiplets topo) (fun _ ->
           {
-            ewma = 0.0;
-            baseline = 0.0;
             samples = 0;
             strikes = 0;
             healthy_streak = 0;
             sick = false;
           });
-    workers =
-      Array.init n_workers (fun _ ->
-          { last_core = -1; last_mem_ns = 0.0; last_accesses = 0 });
+    ewma = Array.make (Topology.num_chiplets topo) 0.0;
+    baseline = Array.make (Topology.num_chiplets topo) 0.0;
+    workers = Array.init n_workers (fun _ -> { last_core = -1; last_accesses = 0 });
+    last_mem_ns = Array.make n_workers 0.0;
     scratch = Array.make (Topology.num_chiplets topo) 0.0;
     mods_generation = -1;
     first_flag_ns = None;
@@ -93,7 +95,7 @@ let sick_chiplets t =
 let any_sick t = Array.exists (fun c -> c.sick) t.chiplets
 let first_flag_ns t = t.first_flag_ns
 let events t = List.rev t.events
-let ewma t ~chiplet = t.chiplets.(chiplet).ewma
+let ewma t ~chiplet = t.ewma.(chiplet)
 
 let flag t ~chiplet ~sick ~at_ns =
   let st = t.chiplets.(chiplet) in
@@ -144,9 +146,8 @@ let[@inline] median_ewma t =
   let vals = t.scratch in
   let n = ref 0 in
   for c = 0 to Array.length t.chiplets - 1 do
-    let st = t.chiplets.(c) in
-    if st.samples >= min_samples then begin
-      let v = st.ewma in
+    if t.chiplets.(c).samples >= min_samples then begin
+      let v = t.ewma.(c) in
       let j = ref !n in
       while !j > 0 && Float.compare vals.(!j - 1) v > 0 do
         vals.(!j) <- vals.(!j - 1);
@@ -160,12 +161,13 @@ let[@inline] median_ewma t =
 
 let judge t ~chiplet ~now =
   let st = t.chiplets.(chiplet) in
-  if st.samples >= min_samples && st.baseline > 0.0 then
+  let ewma = t.ewma.(chiplet) and baseline = t.baseline.(chiplet) in
+  if st.samples >= min_samples && baseline > 0.0 then
     if st.sick then begin
       (* sticky: judged against the frozen pre-fault baseline, and the
          flag only clears after a run of healthy samples, or the gang
          would bounce back and forth *)
-      if st.ewma <= recover_ratio *. st.baseline then begin
+      if ewma <= recover_ratio *. baseline then begin
         st.healthy_streak <- st.healthy_streak + 1;
         if
           st.healthy_streak >= recovery_samples
@@ -182,11 +184,11 @@ let judge t ~chiplet ~now =
     else begin
       (* the median is needed only once the jump test has passed *)
       if
-        st.ewma > jump_ratio *. st.baseline
+        ewma > jump_ratio *. baseline
         &&
         let med = median_ewma t in
         (* no peers to compare (median 0): trust the jump test *)
-        if med > 0.0 then st.ewma > sick_ratio *. med else true
+        if med > 0.0 then ewma > sick_ratio *. med else true
       then begin
         st.strikes <- st.strikes + 1;
         if st.strikes >= strike_limit then flag t ~chiplet ~sick:true ~at_ns:now
@@ -203,28 +205,28 @@ let observe t ~worker ~core ~now =
     (* migrated (or first sample): the old baseline refers to another
        core's counters — rebase without producing a sample *)
     ws.last_core <- core;
-    ws.last_mem_ns <- mem_ns;
+    t.last_mem_ns.(worker) <- mem_ns;
     ws.last_accesses <- accesses
   end
   else begin
     let da = accesses - ws.last_accesses in
-    let dmem = mem_ns -. ws.last_mem_ns in
+    let dmem = mem_ns -. t.last_mem_ns.(worker) in
     if da >= min_accesses && dmem > 0.0 then begin
       let ns_per_access = dmem /. float_of_int da in
       let topo = Machine.topology t.machine in
       let chiplet = Topology.chiplet_of_core topo core in
       let st = t.chiplets.(chiplet) in
-      st.ewma <-
+      t.ewma.(chiplet) <-
         (if st.samples = 0 then ns_per_access
-         else (alpha *. ns_per_access) +. ((1.0 -. alpha) *. st.ewma));
+         else (alpha *. ns_per_access) +. ((1.0 -. alpha) *. t.ewma.(chiplet)));
       if not st.sick then
-        st.baseline <-
+        t.baseline.(chiplet) <-
           (if st.samples = 0 then ns_per_access
            else
              (alpha_slow *. ns_per_access)
-             +. ((1.0 -. alpha_slow) *. st.baseline));
+             +. ((1.0 -. alpha_slow) *. t.baseline.(chiplet)));
       st.samples <- st.samples + 1;
-      ws.last_mem_ns <- mem_ns;
+      t.last_mem_ns.(worker) <- mem_ns;
       ws.last_accesses <- accesses;
       judge t ~chiplet ~now
     end
@@ -236,7 +238,7 @@ let counter_series t =
     let st = t.chiplets.(c) in
     if st.samples > 0 || st.sick then
       acc :=
-        (Printf.sprintf "chiplet%d_ns_per_access" c, st.ewma)
+        (Printf.sprintf "chiplet%d_ns_per_access" c, t.ewma.(c))
         :: (Printf.sprintf "chiplet%d_sick" c, if st.sick then 1.0 else 0.0)
         :: !acc
   done;

@@ -37,9 +37,6 @@ val max_general_spread : Topology.t -> n_workers:int -> int
     [chiplets_per_socket] when the gang cannot fit on general chiplets
     alone (or the machine has none). *)
 
-val numa_node_of_core : Topology.t -> int -> int
-(** Alg. 2 line 13. *)
-
 val chiplet_speed_order : Topology.t -> socket:int -> int array
 (** The socket's local chiplet indices in visit order: general-task
     chiplets first, each band by descending kind speed, stable by index.

@@ -9,18 +9,24 @@ type stats = {
   health_migrations : int;
 }
 
-type worker_state = {
-  mutable spread : int;
-  mutable last_check : float;
-}
-
 type t = {
   config : Config.t;
   machine : Machine.t;
   controller : Controller.t;
   profiler : Profiler.t;
   n_workers : int;
-  states : worker_state array;
+  spread : int array;  (* per worker: its spread_rate *)
+  last_check : float array;
+      (* per worker: when it last evaluated; a float array, as a float
+         field of a mixed record boxes on every store *)
+  min_spread : int;
+  max_spread : int;
+      (* Alg. 1's spread bounds: fixed by the topology and gang size *)
+  targets : int array;
+      (* Alg. 2 target core per (worker, spread_rate), -1 where the
+         spread is invalid; index [worker * (chiplets + 1) + spread] *)
+  thresholds : float array;
+      (* the controller's threshold per [threshold_slot] *)
   mutable s_ticks : int;
   mutable s_spreads : int;
   mutable s_contracts : int;
@@ -36,18 +42,40 @@ type t = {
     worker:int -> old_spread:int -> new_spread:int -> at_ns:float -> unit;
 }
 
+let modes = [| Config.Location_centric; Config.Cache_centric; Config.Adaptive |]
+
+let threshold_slot mode ~degraded =
+  (match mode with
+  | Config.Location_centric -> 0
+  | Config.Cache_centric -> 2
+  | Config.Adaptive -> 4)
+  + if degraded then 1 else 0
+
 let create config machine controller profiler ~n_workers =
   let topo = Machine.topology machine in
   Config.validate config topo;
+  let chiplets = topo.Topology.chiplets_per_socket in
   {
     config;
     machine;
     controller;
     profiler;
     n_workers;
-    states =
-      Array.init n_workers (fun _ ->
-          { spread = config.Config.initial_spread; last_check = 0.0 });
+    spread = Array.make n_workers config.Config.initial_spread;
+    last_check = Array.make n_workers 0.0;
+    min_spread = Placement.min_valid_spread topo ~n_workers;
+    (* general work never spreads onto accelerator-only chiplets while
+       the gang fits on the general ones *)
+    max_spread = Placement.max_general_spread topo ~n_workers;
+    targets =
+      Array.init (n_workers * (chiplets + 1)) (fun i ->
+          let worker = i / (chiplets + 1) and spread_rate = i mod (chiplets + 1) in
+          match Placement.core_of_worker topo ~spread_rate ~n_workers ~worker with
+          | Some core -> core
+          | None -> -1);
+    thresholds =
+      Array.init 6 (fun i ->
+          Controller.threshold_of config ~degraded:(i mod 2 = 1) modes.(i / 2));
     s_ticks = 0;
     s_spreads = 0;
     s_contracts = 0;
@@ -67,7 +95,7 @@ let create config machine controller profiler ~n_workers =
    at the capacity boundary and migration churn eats the gains. *)
 let hysteresis = 0.25
 
-let spread_rate t ~worker = t.states.(worker).spread
+let spread_rate t ~worker = t.spread.(worker)
 let set_health t f = t.health <- f
 let chiplet_sick t chiplet =
   match t.health with None -> false | Some sick -> sick chiplet
@@ -99,27 +127,29 @@ let stats t =
    spread_rates) skips the move; the next timer cycle retries. *)
 let update_location t sched ~worker ~core =
   let topo = Machine.topology t.machine in
-  let st = t.states.(worker) in
-  match
-    Placement.core_of_worker topo ~spread_rate:st.spread ~n_workers:t.n_workers
-      ~worker
-  with
-  | None -> t.s_skipped <- t.s_skipped + 1
-  | Some target when target = core -> ()
-  | Some target
-    when chiplet_avoid t (Topology.chiplet_of_core topo target)
-         && not (chiplet_avoid t (Topology.chiplet_of_core topo core)) ->
-      (* health/power veto: never move a clean worker onto a sick or
-         power-throttled chiplet, even when Alg. 2 nominates it —
-         retried once the flag clears *)
-      t.s_skipped <- t.s_skipped + 1
-  | Some target -> (
-      match Engine.Sched.worker_of_core sched target with
-      | Some _other -> t.s_skipped <- t.s_skipped + 1
-      | None ->
-          Engine.Sched.migrate sched ~worker ~core:target;
-          t.s_migrations <- t.s_migrations + 1;
-          Profiler.rebase t.profiler ~worker ~core:target)
+  let chiplets = topo.Topology.chiplets_per_socket in
+  let spread = t.spread.(worker) in
+  let target =
+    if spread < 1 || spread > chiplets then -1
+    else t.targets.((worker * (chiplets + 1)) + spread)
+  in
+  if target < 0 then t.s_skipped <- t.s_skipped + 1
+  else if target = core then ()
+  else if
+    chiplet_avoid t (Topology.chiplet_of_core topo target)
+    && not (chiplet_avoid t (Topology.chiplet_of_core topo core))
+  then
+    (* health/power veto: never move a clean worker onto a sick or
+       power-throttled chiplet, even when Alg. 2 nominates it — retried
+       once the flag clears *)
+    t.s_skipped <- t.s_skipped + 1
+  else
+    match Engine.Sched.worker_of_core sched target with
+    | Some _other -> t.s_skipped <- t.s_skipped + 1
+    | None ->
+        Engine.Sched.migrate sched ~worker ~core:target;
+        t.s_migrations <- t.s_migrations + 1;
+        Profiler.rebase t.profiler ~worker ~core:target
 
 (* A worker stuck on a sick chiplet ignores Alg. 2 and flees to the
    nearest free core on a healthy chiplet.  Alg. 2 keeps nominating cores
@@ -185,44 +215,52 @@ let flee_sick_chiplet t sched ~worker ~core =
     end
   end
 
-let evaluate t sched ~worker ~now ~elapsed =
+(* One Alg. 1 evaluation.  The clock is read here, not passed in, and
+   the sample, the controller's decision and the spread bounds come
+   from ints and tables, so a tick allocates nothing unless the spread
+   changes.  [forced] floors the elapsed time at one timer period. *)
+let evaluate t sched ~worker ~forced =
+  let now = Engine.Sched.worker_clock sched worker in
+  let timer = t.config.Config.scheduler_timer_ns in
+  let elapsed =
+    if forced then Float.max (now -. t.last_check.(worker)) timer
+    else now -. t.last_check.(worker)
+  in
   let core = Engine.Sched.worker_core sched worker in
-  let st = t.states.(worker) in
   t.s_ticks <- t.s_ticks + 1;
-  let sample = Profiler.read t.profiler ~worker ~core in
-  let counter = float_of_int (Profiler.remote_events sample) in
-  let rate = counter *. t.config.Config.scheduler_timer_ns /. elapsed in
+  let remote_chiplet = Profiler.since t.profiler ~worker ~core Profiler.Remote_chiplet
+  and dram = Profiler.since t.profiler ~worker ~core Profiler.Dram in
+  let remote =
+    remote_chiplet + Profiler.since t.profiler ~worker ~core Profiler.Remote_numa + dram
+  in
+  let rate = float_of_int remote *. timer /. elapsed in
   let degraded =
     chiplet_sick t (Topology.chiplet_of_core (Machine.topology t.machine) core)
   in
-  let decision = Controller.decide t.controller ~degraded sample in
-  let topo = Machine.topology t.machine in
-  let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  (* general work never spreads onto accelerator-only chiplets while the
-     gang fits on the general ones *)
-  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
-  if rate >= decision.Controller.threshold then begin
-    if st.spread < max_spread then begin
-      st.spread <- st.spread + 1;
+  let mode = Controller.decide_mode t.controller ~remote ~remote_chiplet ~dram in
+  let threshold = t.thresholds.(threshold_slot mode ~degraded) in
+  let spread = t.spread.(worker) in
+  if rate >= threshold then begin
+    if spread < t.max_spread then begin
+      t.spread.(worker) <- spread + 1;
       t.s_spreads <- t.s_spreads + 1;
-      t.on_spread_change ~worker ~old_spread:(st.spread - 1)
-        ~new_spread:st.spread ~at_ns:now
+      t.on_spread_change ~worker ~old_spread:spread ~new_spread:(spread + 1)
+        ~at_ns:now
     end
   end
-  else if rate < hysteresis *. decision.Controller.threshold
-          && st.spread > min_spread then begin
+  else if rate < hysteresis *. threshold && spread > t.min_spread then begin
     (* Alg. 1 decrements to 1, but values below the Alg. 2 bounds check can
        never be applied; clamping at the smallest valid spread avoids a
        long invalid-retry climb when the rate rises again. *)
-    st.spread <- st.spread - 1;
+    t.spread.(worker) <- spread - 1;
     t.s_contracts <- t.s_contracts + 1;
-    t.on_spread_change ~worker ~old_spread:(st.spread + 1)
-      ~new_spread:st.spread ~at_ns:now
+    t.on_spread_change ~worker ~old_spread:spread ~new_spread:(spread - 1)
+      ~at_ns:now
   end;
   update_location t sched ~worker ~core:(Engine.Sched.worker_core sched worker);
   flee_sick_chiplet t sched ~worker
     ~core:(Engine.Sched.worker_core sched worker);
-  st.last_check <- now;
+  t.last_check.(worker) <- now;
   let current_core = Engine.Sched.worker_core sched worker in
   Profiler.reset t.profiler ~worker ~core:current_core
 
@@ -255,20 +293,17 @@ let centralized_evaluate t sched ~now ~elapsed =
     *. t.config.Config.scheduler_timer_ns /. elapsed
   in
   let decision = Controller.decide t.controller !agg in
-  let topo = Machine.topology machine in
-  let min_spread = Placement.min_valid_spread topo ~n_workers:t.n_workers in
-  let max_spread = Placement.max_general_spread topo ~n_workers:t.n_workers in
-  let old_global = t.states.(0).spread in
+  let old_global = t.spread.(0) in
   let global =
     if rate >= decision.Controller.threshold then begin
-      if old_global < max_spread then begin
+      if old_global < t.max_spread then begin
         t.s_spreads <- t.s_spreads + 1;
         old_global + 1
       end
       else old_global
     end
     else if rate < hysteresis *. decision.Controller.threshold
-            && old_global > min_spread
+            && old_global > t.min_spread
     then begin
       t.s_contracts <- t.s_contracts + 1;
       old_global - 1
@@ -280,10 +315,9 @@ let centralized_evaluate t sched ~now ~elapsed =
     t.on_spread_change ~worker:0 ~old_spread:old_global ~new_spread:global
       ~at_ns:now;
   for w = 0 to t.n_workers - 1 do
-    let st = t.states.(w) in
-    st.spread <- global;
+    t.spread.(w) <- global;
     update_location t sched ~worker:w ~core:(Engine.Sched.worker_core sched w);
-    st.last_check <- now;
+    t.last_check.(w) <- now;
     Profiler.reset t.profiler ~worker:w ~core:(Engine.Sched.worker_core sched w)
   done
 
@@ -291,26 +325,19 @@ let tick t sched ~worker =
   if t.config.Config.profile_while_running then begin
     if t.config.Config.decentralized then begin
       let now = Engine.Sched.worker_clock sched worker in
-      let st = t.states.(worker) in
-      let elapsed = now -. st.last_check in
-      if elapsed >= t.config.Config.scheduler_timer_ns then
-        evaluate t sched ~worker ~now ~elapsed
+      if now -. t.last_check.(worker) >= t.config.Config.scheduler_timer_ns then
+        evaluate t sched ~worker ~forced:false
     end
     else if worker = 0 then begin
       let now = Engine.Sched.worker_clock sched 0 in
-      let elapsed = now -. t.states.(0).last_check in
+      let elapsed = now -. t.last_check.(0) in
       if elapsed >= t.config.Config.scheduler_timer_ns then
         centralized_evaluate t sched ~now ~elapsed
     end
   end
 
-let force_tick t sched ~worker =
-  let now = Engine.Sched.worker_clock sched worker in
-  let st = t.states.(worker) in
-  (* clamp to one full timer period, not 1 ns: a force-tick right after a
-     timer tick would otherwise scale the raw counter by ~timer_ns and
-     trigger a bogus spread.  With this floor, rate <= raw counter. *)
-  let elapsed =
-    Float.max (now -. st.last_check) t.config.Config.scheduler_timer_ns
-  in
-  evaluate t sched ~worker ~now ~elapsed
+(* the elapsed time is clamped to one full timer period, not 1 ns: a
+   force-tick right after a timer tick would otherwise scale the raw
+   counter by ~timer_ns and trigger a bogus spread.  With this floor,
+   rate <= raw counter. *)
+let force_tick t sched ~worker = evaluate t sched ~worker ~forced:true

@@ -25,6 +25,11 @@ val create : Machine.t -> n_workers:int -> t
 val read : t -> worker:int -> core:int -> sample
 (** Fill-event deltas on [core] since this worker's last {!reset}. *)
 
+type fill = Local | Remote_chiplet | Remote_numa | Dram
+
+val since : t -> worker:int -> core:int -> fill -> int
+(** One field of {!read}, without building the sample. *)
+
 val reset : t -> worker:int -> core:int -> unit
 (** Re-baseline after a policy decision (Alg. 1 line 18) or a migration. *)
 

@@ -50,8 +50,9 @@ type t = {
   rank : int array;  (* cores x cores distance ranks (Latency.rank_matrix) *)
   ncores : int;
   mutable placement_epoch : int;
-      (* bumped whenever any worker changes core; cached steal orders
-         carry the epoch they were built under and lazily refresh *)
+      (* bumped whenever any worker changes core or a bound core goes
+         offline or online; cached steal orders carry the epoch they
+         were built under and lazily refresh *)
   mutable parked_count : int;  (* workers with parked && not offlined *)
   heap : heap;
   mutable live : int;
@@ -399,6 +400,8 @@ let worker_offlined t w = t.workers.(w).offlined
 
 let active_workers t =
   Array.fold_left (fun acc w -> if w.offlined then acc else acc + 1) 0 t.workers
+
+let placement_epoch t = t.placement_epoch
 
 let worker_of_core t core =
   if core < 0 || core >= Array.length t.core_owner then None
@@ -853,6 +856,7 @@ let handle_core_offline t ~core =
             end
           end)
         t.core_owner;
+      t.placement_epoch <- t.placement_epoch + 1;
       if !best >= 0 then migrate t ~worker:wid ~core:!best
       else if active_workers t > 1 then begin
         if w.parked then t.parked_count <- t.parked_count - 1;
@@ -894,6 +898,7 @@ let handle_core_online t ~core ~at =
   | None -> ()
   | Some wid ->
       let w = t.workers.(wid) in
+      t.placement_epoch <- t.placement_epoch + 1;
       if w.offlined then begin
         w.offlined <- false;
         w.redirect <- -1;

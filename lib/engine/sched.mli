@@ -130,6 +130,13 @@ val worker_core : t -> int -> int
 val worker_clock : t -> int -> float
 val worker_of_core : t -> int -> int option
 
+val placement_epoch : t -> int
+(** A counter bumped whenever worker placement may have changed: on every
+    {!migrate} and on every {!handle_core_offline} /
+    {!handle_core_online} that finds a worker on the core.  Callers cache
+    placement-derived values (steal orders, the chiplets hosting workers)
+    under the epoch they were computed at. *)
+
 val queue_length : t -> int -> int
 (** Total tasks queued on the worker. *)
 

@@ -253,28 +253,33 @@ let run cfg =
         else None)
   in
   let router = Router.create cfg.policy in
+  (* shards 1..n-1 reuse shard 0's immutable datasets (same data config)
+     over regions of their own *)
+  let make_session ?share s =
+    let inst =
+      Systems.make ~cache_scale:cfg.cache_scale cfg.sys (shard_machine s)
+        ~n_workers:cfg.n_workers ()
+    in
+    let scfg =
+      {
+        cfg.serve with
+        Server.seed = cfg.serve.Server.seed + (7919 * (s + 1));
+        trace = shard_traces.(s);
+        (* every completion feeds the router's per-shard latency EWMA;
+           only the [ewma] policy reads it, so other fleets are
+           unaffected *)
+        on_complete =
+          Some
+            (fun ~tenant:_ ~kind:_ ~submit_ns ~finish_ns ->
+              Router.observe router ~shard:s
+                ~service_ns:(finish_ns -. submit_ns));
+      }
+    in
+    Session.create ?share inst scfg
+  in
+  let shard0 = make_session 0 in
   let sessions =
-    Array.init n (fun s ->
-        let inst =
-          Systems.make ~cache_scale:cfg.cache_scale cfg.sys (shard_machine s)
-            ~n_workers:cfg.n_workers ()
-        in
-        let scfg =
-          {
-            cfg.serve with
-            Server.seed = cfg.serve.Server.seed + (7919 * (s + 1));
-            trace = shard_traces.(s);
-            (* every completion feeds the router's per-shard latency EWMA;
-               only the [ewma] policy reads it, so other fleets are
-               unaffected *)
-            on_complete =
-              Some
-                (fun ~tenant:_ ~kind:_ ~submit_ns ~finish_ns ->
-                  Router.observe router ~shard:s
-                    ~service_ns:(finish_ns -. submit_ns));
-          }
-        in
-        Session.create inst scfg)
+    Array.init n (fun s -> if s = 0 then shard0 else make_session ~share:shard0 s)
   in
   let injectors =
     List.map

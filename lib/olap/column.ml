@@ -10,6 +10,12 @@ let ints ~alloc data =
 let floats ~alloc data =
   Floats { data; sim = alloc ~elt_bytes:8 ~count:(max 1 (Array.length data)) }
 
+let with_region ~alloc = function
+  | Ints { data; sim } ->
+      Ints { data; sim = alloc ~elt_bytes:sim.Simmem.elt_bytes ~count:(max 1 (Array.length data)) }
+  | Floats { data; sim } ->
+      Floats { data; sim = alloc ~elt_bytes:sim.Simmem.elt_bytes ~count:(max 1 (Array.length data)) }
+
 let length = function
   | Ints { data; _ } -> Array.length data
   | Floats { data; _ } -> Array.length data

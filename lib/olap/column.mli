@@ -14,6 +14,11 @@ val ints :
 val floats :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) -> float array -> t
 
+val with_region :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same values (shared, not copied) over a fresh region of the same
+    geometry. *)
+
 val length : t -> int
 val get_int : t -> int -> int
 (** @raise Invalid_argument on a float column. *)

@@ -23,15 +23,16 @@ let day_of ~year =
   if year < 1992 || year > 1999 then invalid_arg "Tpch_data.day_of: year out of range";
   (year - 1992) * 365  (* leap days ignored; predicates only need ordering *)
 
+(* supplier, customer, part, partsupp and orders rows at scale [sf] *)
+let dimension_rows sf =
+  let scale base = max 1 (int_of_float (float_of_int base *. sf)) in
+  let n_part = scale 200_000 in
+  (scale 10_000, scale 150_000, n_part, 4 * n_part, scale 1_500_000)
+
 let generate ~alloc ?(seed = 1234) ~sf () =
   if sf <= 0.0 then invalid_arg "Tpch_data.generate: sf must be positive";
   let rng = Engine.Rng.create seed in
-  let scale base = max 1 (int_of_float (float_of_int base *. sf)) in
-  let n_supplier = scale 10_000 in
-  let n_customer = scale 150_000 in
-  let n_part = scale 200_000 in
-  let n_partsupp = 4 * n_part in
-  let n_orders = scale 1_500_000 in
+  let n_supplier, n_customer, n_part, n_partsupp, n_orders = dimension_rows sf in
   let ri n = Engine.Rng.int rng n in
   let rf bound = Engine.Rng.float rng bound in
 
@@ -156,7 +157,77 @@ let generate ~alloc ?(seed = 1234) ~sf () =
   in
   { sf; region; nation; supplier; customer; part; partsupp; orders; lineitem }
 
-let total_rows t =
-  Table.rows t.region + Table.rows t.nation + Table.rows t.supplier
-  + Table.rows t.customer + Table.rows t.part + Table.rows t.partsupp
-  + Table.rows t.orders + Table.rows t.lineitem
+let tables t =
+  [ t.region; t.nation; t.supplier; t.customer; t.part; t.partsupp; t.orders; t.lineitem ]
+
+let with_regions ~alloc t =
+  let tables = Array.of_list (tables t) in
+  let fresh = Array.map (fun tb -> Array.of_list (List.map snd (Table.columns tb))) tables in
+  (* reallocate in the originals' allocation order: one bump allocator
+     handed them out, so that is ascending base order *)
+  let slots =
+    Array.concat
+      (Array.to_list
+         (Array.mapi (fun ti cols -> Array.mapi (fun ci c -> (ti, ci, c)) cols) fresh))
+  in
+  let base (_, _, c) = (Column.sim c).Chipsim.Simmem.base in
+  Array.sort (fun a b -> Int.compare (base a) (base b)) slots;
+  Array.iter (fun (ti, ci, c) -> fresh.(ti).(ci) <- Column.with_region ~alloc c) slots;
+  let rebuild ti =
+    let tb = tables.(ti) in
+    Table.v ~name:(Table.name tb) ~rows:(Table.rows tb)
+      (List.mapi (fun ci (name, _) -> (name, fresh.(ti).(ci))) (Table.columns tb))
+  in
+  {
+    sf = t.sf;
+    region = rebuild 0;
+    nation = rebuild 1;
+    supplier = rebuild 2;
+    customer = rebuild 3;
+    part = rebuild 4;
+    partsupp = rebuild 5;
+    orders = rebuild 6;
+    lineitem = rebuild 7;
+  }
+
+(* [generate]'s lineitem count without generating: every column value
+   before the lineitem loop is one RNG step (2 per supplier, 3 per
+   customer, 5 per part, 3 per partsupp and 5 per order row), then each
+   order draws its 1..7 lines *)
+let lineitem_rows ~seed ~sf =
+  let rng = Engine.Rng.create seed in
+  let n_supplier, n_customer, n_part, n_partsupp, n_orders = dimension_rows sf in
+  let skip =
+    (2 * n_supplier) + (3 * n_customer) + (5 * n_part) + (3 * n_partsupp) + (5 * n_orders)
+  in
+  for _ = 1 to skip do
+    ignore (Engine.Rng.bool rng : bool)
+  done;
+  let n = ref 0 in
+  for _ = 1 to n_orders do
+    n := !n + 1 + Engine.Rng.int rng 7
+  done;
+  !n
+
+let reserve ~alloc ?(seed = 1234) ~sf () =
+  if sf <= 0.0 then invalid_arg "Tpch_data.reserve: sf must be positive";
+  let n_supplier, n_customer, n_part, n_partsupp, n_orders = dimension_rows sf in
+  (* (rows, columns) per table in [generate]'s order; within a table all
+     regions have one size, so their order does not matter here *)
+  List.iter
+    (fun (rows, cols) ->
+      for _ = 1 to cols do
+        ignore (alloc ~elt_bytes:8 ~count:(max 1 rows) : Chipsim.Simmem.region)
+      done)
+    [
+      (5, 2);
+      (25, 3);
+      (n_supplier, 3);
+      (n_customer, 4);
+      (n_part, 6);
+      (n_partsupp, 4);
+      (n_orders, 7);
+      (lineitem_rows ~seed ~sf, 15);
+    ]
+
+let total_rows t = List.fold_left (fun acc tb -> acc + Table.rows tb) 0 (tables t)

@@ -26,6 +26,21 @@ val generate :
   ?seed:int -> sf:float -> unit -> t
 (** @raise Invalid_argument if [sf <= 0]. *)
 
+val with_regions :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same tables (column values shared, not copied) over fresh
+    regions, allocated in the order and sizes {!generate} allocated the
+    originals: on a fresh allocator every column lands at the address a
+    regeneration would give it. *)
+
+val reserve :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
+  ?seed:int -> sf:float -> unit -> unit
+(** Allocate only the regions {!generate} would allocate for this seed
+    and scale, in the same order and sizes, keeping the address layout
+    of later allocations without building the tables.
+    @raise Invalid_argument if [sf <= 0]. *)
+
 val total_rows : t -> int
 
 (** Dictionary sizes for encoded string columns. *)

@@ -9,17 +9,21 @@ type table = {
   values : int array;
 }
 
-let create_table ~alloc ~name ~rows ~payload_words =
+(* lock words, then payload: the order, and so the simulated address
+   layout, every recorded baseline was run with *)
+let alloc_regions ~alloc ~rows ~payload_words =
   if rows <= 0 || payload_words <= 0 then
     invalid_arg "Storage.create_table: rows and payload_words must be positive";
-  {
-    name;
-    rows;
-    payload_words;
-    sim_data = alloc ~elt_bytes:8 ~count:(rows * payload_words);
-    sim_locks = alloc ~elt_bytes:8 ~count:rows;
-    values = Array.make (rows * payload_words) 0;
-  }
+  let sim_locks = alloc ~elt_bytes:8 ~count:rows in
+  let sim_data = alloc ~elt_bytes:8 ~count:(rows * payload_words) in
+  (sim_data, sim_locks)
+
+let create_table ~alloc ~name ~rows ~payload_words =
+  let sim_data, sim_locks = alloc_regions ~alloc ~rows ~payload_words in
+  { name; rows; payload_words; sim_data; sim_locks; values = Array.make (rows * payload_words) 0 }
+
+let reserve_table ~alloc ~rows ~payload_words =
+  ignore (alloc_regions ~alloc ~rows ~payload_words)
 
 let name t = t.name
 let rows t = t.rows

@@ -13,6 +13,13 @@ val create_table :
   alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
   name:string -> rows:int -> payload_words:int -> table
 
+val reserve_table :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
+  rows:int -> payload_words:int -> unit
+(** Allocate only the regions {!create_table} would, in the same order
+    and sizes, keeping the address layout of later allocations without
+    building the table. *)
+
 val name : table -> string
 val rows : table -> int
 

@@ -1,9 +1,9 @@
 (** YCSB over the OLTP engine.
 
     The paper's §5.7 configuration (single table, uniform keys, 45%% reads
-    / 55%% read-modify-writes) is [default_params]; the six standard YCSB
-    core workloads A–F are also provided, with uniform or Zipfian request
-    distributions. *)
+    / 55%% read-modify-writes) is [default_params]; YCSB core workloads A
+    and C and a scan-heavy E-shaped mix are also provided, with uniform or
+    Zipfian request distributions. *)
 
 type distribution = Uniform | Zipfian of float  (** skew theta, e.g. 0.99 *)
 
@@ -23,7 +23,8 @@ val workload_c : mix
 (** 100 read *)
 
 val workload_e : mix
-(** 95 scan / 5 insert *)
+(** 95 scan / 5 read-modify-write (not YCSB-E's scan + insert: no
+    inserts are generated) *)
 
 val paper_mix : mix
 (** 45 read / 55 read-modify-write (paper §5.1) *)

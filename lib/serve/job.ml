@@ -97,65 +97,136 @@ let pagerank_iterations = 2
 
 type data = {
   cfg : data_config;
-  graph : Workloads.Csr.t;
+  graph : Workloads.Csr.t option;  (** [None] unless a mix runs BFS or PageRank *)
   bfs_levels : Simmem.region;
   pr_ranks : Simmem.region;
   pr_next : Simmem.region;
-  tpch : Olap.Tpch_data.t;
-  ycsb_table : Oltp.Storage.table;
+  tpch : Olap.Tpch_data.t option;  (** [None] unless a mix runs TPC-H *)
+  ycsb_table : Oltp.Storage.table option;  (** [None] unless a mix runs YCSB *)
   txn : Oltp.Txn.t;
   gups_table : Simmem.region;
   alloc : elt_bytes:int -> count:int -> Simmem.region;
+  mapper : Taskgraph.Mapper.prepared;
+  mutable chiplets_epoch : int;
+      (** the scheduler's placement epoch [chiplets] was computed at *)
+  mutable chiplets : int array option;
 }
 
-let prepare env cfg =
+let uses_graph = function Bfs | Pagerank -> true | _ -> false
+let uses_tpch = function Tpch _ -> true | _ -> false
+let uses_ycsb = function Ycsb_batch _ -> true | _ -> false
+let ycsb_payload_words = 13
+
+(* Regions are allocated in one fixed order whichever datasets are built,
+   and a dataset no mix uses still reserves its regions: every region,
+   and every job's scratch allocated later, sits at the address it had
+   when every dataset was built, so the machine model sees the same
+   layout. *)
+let prepare ?share env cfg kinds =
   let alloc ~elt_bytes ~count =
     env.Workloads.Exec_env.alloc_shared ~elt_bytes ~count
   in
+  let share = match share with Some d when d.cfg = cfg -> Some d | _ -> None in
+  let needs p = List.exists p kinds in
   let graph =
-    Workloads.Csr.of_kronecker ~weighted:false ~alloc
-      (Workloads.Kronecker.generate ~seed:cfg.seed ~scale:cfg.graph_scale
-         ~edge_factor ())
+    if needs uses_graph then
+      Some
+        (match share with
+        | Some { graph = Some g; _ } -> Workloads.Csr.with_regions ~alloc g
+        | _ ->
+            Workloads.Csr.of_kronecker ~weighted:false ~alloc
+              (Workloads.Kronecker.generate ~seed:cfg.seed ~scale:cfg.graph_scale
+                 ~edge_factor ()))
+    else begin
+      Workloads.Csr.reserve_kronecker ~alloc ~scale:cfg.graph_scale ~edge_factor;
+      None
+    end
   in
-  let n = graph.Workloads.Csr.n in
+  let n = 1 lsl cfg.graph_scale in
+  let gups_table = alloc ~elt_bytes:8 ~count:gups_table_words in
+  let txn = Oltp.Txn.create ~alloc () in
+  let ycsb_table =
+    if needs uses_ycsb then
+      Some
+        (Oltp.Storage.create_table ~alloc ~name:"serve-usertable" ~rows:ycsb_records
+           ~payload_words:ycsb_payload_words)
+    else begin
+      Oltp.Storage.reserve_table ~alloc ~rows:ycsb_records ~payload_words:ycsb_payload_words;
+      None
+    end
+  in
+  let tpch_seed = cfg.seed + 1 in
+  let tpch =
+    if needs uses_tpch then
+      Some
+        (match share with
+        | Some { tpch = Some t; _ } -> Olap.Tpch_data.with_regions ~alloc t
+        | _ -> Olap.Tpch_data.generate ~alloc ~seed:tpch_seed ~sf:tpch_sf ())
+    else begin
+      Olap.Tpch_data.reserve ~alloc ~seed:tpch_seed ~sf:tpch_sf ();
+      None
+    end
+  in
+  let pr_next = alloc ~elt_bytes:8 ~count:n in
+  let pr_ranks = alloc ~elt_bytes:8 ~count:n in
+  let bfs_levels = alloc ~elt_bytes:8 ~count:n in
   {
     cfg;
     graph;
-    bfs_levels = alloc ~elt_bytes:8 ~count:n;
-    pr_ranks = alloc ~elt_bytes:8 ~count:n;
-    pr_next = alloc ~elt_bytes:8 ~count:n;
-    tpch = Olap.Tpch_data.generate ~alloc ~seed:(cfg.seed + 1) ~sf:tpch_sf ();
-    ycsb_table =
-      Oltp.Storage.create_table ~alloc ~name:"serve-usertable"
-        ~rows:ycsb_records ~payload_words:13;
-    txn = Oltp.Txn.create ~alloc ();
-    gups_table = alloc ~elt_bytes:8 ~count:gups_table_words;
+    bfs_levels;
+    pr_ranks;
+    pr_next;
+    tpch;
+    ycsb_table;
+    txn;
+    gups_table;
     alloc;
+    mapper = Taskgraph.Mapper.prepare (Machine.topology (Workloads.Exec_env.machine env));
+    chiplets_epoch = -1;
+    chiplets = None;
   }
 
-let graph d = d.graph
+let csr d = d.graph
+let tpch d = d.tpch
+
+let not_prepared kind what =
+  invalid_arg
+    (Printf.sprintf "Job: %s needs the %s dataset, which no tenant mix uses"
+       (kind_name kind) what)
+
+let graph_for d kind =
+  match d.graph with Some g -> g | None -> not_prepared kind "graph"
+
+let tpch_for d kind =
+  match d.tpch with Some t -> t | None -> not_prepared kind "TPC-H"
+
+let ycsb_for d kind =
+  match d.ycsb_table with Some t -> t | None -> not_prepared kind "YCSB"
 
 (* per-item factors calibrated against measured virtual service times on
    the default datasets (charm, 32 workers, cache_scale 16): BFS ~4.6 ns
    per edge, PageRank ~3 ns per edge update, GUPS ~130 ns per RMW, TPC-H
    ~8 ns per stored row, YCSB ~600 ns per transaction *)
-let cost_estimate d = function
-  | Bfs -> 4.5 *. float_of_int d.graph.Workloads.Csr.m
-  | Pagerank -> 3.0 *. float_of_int (pagerank_iterations * d.graph.Workloads.Csr.m)
+let cost_estimate d kind =
+  match kind with
+  | Bfs -> 4.5 *. float_of_int (graph_for d kind).Workloads.Csr.m
+  | Pagerank ->
+      3.0 *. float_of_int (pagerank_iterations * (graph_for d kind).Workloads.Csr.m)
   | Gups n -> 130.0 *. float_of_int n
   | Tpch q ->
-      let rows = float_of_int (Olap.Tpch_data.total_rows d.tpch) in
+      let rows = float_of_int (Olap.Tpch_data.total_rows (tpch_for d kind)) in
       if List.mem q Olap.Tpch_queries.join_heavy then 12.0 *. rows else 8.0 *. rows
-  | Ycsb_batch n -> 600.0 *. float_of_int n
+  | Ycsb_batch n ->
+      ignore (ycsb_for d kind : Oltp.Storage.table);
+      600.0 *. float_of_int n
   | Dag (shape, layers) ->
       (* graph costs vary per job seed; the canonical seed-0 instance is a
-         representative estimate (generation is O(nodes), graphs are tiny) *)
+         representative estimate *)
       Taskgraph.Graph.total_cost_ns
         (Taskgraph.Graph.generate ~shape ~layers ~seed:0 ())
 
 (* a BFS source must have outgoing edges or the job degenerates to nothing *)
-let pick_source d rng =
-  let g = d.graph in
+let pick_source g rng =
   let n = g.Workloads.Csr.n in
   let rec try_random attempts =
     if attempts = 0 then
@@ -184,15 +255,15 @@ let run_gups ctx d rng updates =
 
 (* the paper-mix transaction stream (45 read / 55 rmw) from Ycsb.run,
    reduced to a batch that runs inside one serving task *)
-let run_ycsb ctx d rng ops =
+let run_ycsb ctx d table rng ops =
   if ops <= 0 then invalid_arg "Job.run: ycsb batch <= 0";
   for i = 0 to ops - 1 do
     let key = Engine.Rng.int rng ycsb_records in
     let dice = Engine.Rng.int rng 100 in
-    if dice < 45 then ignore (Oltp.Storage.read_record ctx d.ycsb_table key : int)
+    if dice < 45 then ignore (Oltp.Storage.read_record ctx table key : int)
     else begin
-      let v = Oltp.Storage.read_record ctx d.ycsb_table key in
-      Oltp.Storage.write_record ctx d.ycsb_table key (v + 1)
+      let v = Oltp.Storage.read_record ctx table key in
+      Oltp.Storage.write_record ctx table key (v + 1)
     end;
     Oltp.Txn.commit d.txn ctx;
     if i land 63 = 63 then Sched.Ctx.maybe_yield ctx
@@ -200,29 +271,35 @@ let run_ycsb ctx d rng ops =
   ops
 
 (* chiplets that actually host a scheduler worker — DAG nodes pinned
-   anywhere else would silently fall back to the spawner's queue *)
-let worker_chiplets ctx =
+   anywhere else would silently fall back to the spawner's queue.
+   Recomputed only when the scheduler's placement epoch moves. *)
+let worker_chiplets d ctx =
   let sched = Sched.Ctx.sched ctx in
-  let topo = Machine.topology (Sched.Ctx.machine ctx) in
-  let hosted =
-    List.filter
-      (fun ch ->
-        List.exists
-          (fun core -> Sched.worker_of_core sched core <> None)
-          (Topology.cores_of_chiplet topo ch))
-      (List.init (Topology.num_chiplets topo) Fun.id)
-  in
-  match hosted with [] -> None | l -> Some (Array.of_list l)
+  let epoch = Sched.placement_epoch sched in
+  if epoch <> d.chiplets_epoch then begin
+    let topo = Machine.topology (Sched.Ctx.machine ctx) in
+    let cpc = topo.Topology.cores_per_chiplet in
+    let hosts ch =
+      let first = Topology.first_core_of_chiplet topo ch in
+      let rec go core =
+        core < first + cpc && (Sched.worker_of_core sched core <> None || go (core + 1))
+      in
+      go first
+    in
+    let hosted = List.filter hosts (List.init (Topology.num_chiplets topo) Fun.id) in
+    d.chiplets <- (match hosted with [] -> None | l -> Some (Array.of_list l));
+    d.chiplets_epoch <- epoch
+  end;
+  d.chiplets
 
 let run_dag ctx d ~seed ?(rotate = 0) shape layers =
   let g = Taskgraph.Graph.generate ~shape ~layers ~seed () in
-  let topo = Machine.topology (Sched.Ctx.machine ctx) in
   let policy =
     if d.cfg.dag_comm_aware then Taskgraph.Mapper.Comm_aware
     else Taskgraph.Mapper.Blind
   in
   let usable =
-    match worker_chiplets ctx with
+    match worker_chiplets d ctx with
     | Some a when rotate > 0 && Array.length a > 1 ->
         (* replica ordinal: rotate the usable-chiplet preference so
            redundant DAG executions map onto different silicon instead of
@@ -231,7 +308,7 @@ let run_dag ctx d ~seed ?(rotate = 0) shape layers =
         Some (Array.init n (fun i -> a.((i + rotate) mod n)))
     | u -> u
   in
-  let m = Taskgraph.Mapper.map ?usable topo ~policy g in
+  let m = Taskgraph.Mapper.map_prepared d.mapper ?usable ~policy g in
   let r = Taskgraph.Exec.run ~job_id:seed ctx m g in
   r.Taskgraph.Exec.nodes_run
 
@@ -239,20 +316,21 @@ let run ctx d ~seed kind =
   let rng = Engine.Rng.create seed in
   match kind with
   | Bfs ->
-      let source = pick_source d rng in
-      let _, edges = Workloads.Bfs.run_in ctx d.graph ~levels:d.bfs_levels ~source in
+      let g = graph_for d kind in
+      let source = pick_source g rng in
+      let _, edges = Workloads.Bfs.run_in ctx g ~levels:d.bfs_levels ~source in
       edges
   | Pagerank ->
       let _, updates =
-        Workloads.Pagerank.run_in ctx d.graph ~ranks:d.pr_ranks ~next:d.pr_next
+        Workloads.Pagerank.run_in ctx (graph_for d kind) ~ranks:d.pr_ranks ~next:d.pr_next
           ~iterations:pagerank_iterations ()
       in
       updates
   | Gups n -> run_gups ctx d rng n
   | Tpch q ->
-      let r = Olap.Tpch_queries.run ctx ~alloc:d.alloc d.tpch q in
+      let r = Olap.Tpch_queries.run ctx ~alloc:d.alloc (tpch_for d kind) q in
       max 1 r.Olap.Tpch_queries.rows_out
-  | Ycsb_batch n -> run_ycsb ctx d rng n
+  | Ycsb_batch n -> run_ycsb ctx d (ycsb_for d kind) rng n
   | Dag (shape, layers) -> run_dag ctx d ~seed shape layers
 
 let run_replica ctx d ~seed ~replica kind =

@@ -48,16 +48,32 @@ val default_data_config : data_config
 
 type data
 
-val prepare : Workloads.Exec_env.t -> data_config -> data
-(** Allocate and populate every shared dataset through the environment's
-    shared allocator (so placement policy applies to serving data too). *)
+val prepare : ?share:data -> Workloads.Exec_env.t -> data_config -> kind list -> data
+(** Allocate and populate the shared datasets the listed kinds use (the
+    graph for BFS and PageRank, the column store for TPC-H, the table for
+    YCSB) through the environment's shared allocator, so placement policy
+    applies to serving data too.  A dataset no kind uses is not built,
+    but its simulated regions are still reserved, in the same order and
+    sizes: every region lands at the same address whichever kinds are
+    listed.
 
-val graph : data -> Workloads.Csr.t
+    With [share] (another session's data, prepared with an equal config
+    on another machine), the graph and the TPC-H columns reuse its
+    immutable host arrays over regions of their own; the mutable YCSB
+    table is always built afresh. *)
+
+val csr : data -> Workloads.Csr.t option
+(** The built graph; [None] when no listed kind uses it. *)
+
+val tpch : data -> Olap.Tpch_data.t option
+(** The built TPC-H tables; [None] when no listed kind uses them. *)
 
 val cost_estimate : data -> kind -> float
 (** Rough service demand (arbitrary units, consistent across kinds) used
     as the weighted-fair-queue cost and for SLO scaling; a pure function
-    of the prepared datasets. *)
+    of the prepared datasets.  A [Dag] kind's estimate generates its
+    seed-0 graph, so callers pricing many jobs price each kind once.
+    @raise Invalid_argument if the kind's dataset was not built. *)
 
 val run : Engine.Sched.ctx -> data -> seed:int -> kind -> int
 (** Execute one job inside the calling task; nested parallelism fans out
@@ -65,7 +81,8 @@ val run : Engine.Sched.ctx -> data -> seed:int -> kind -> int
     (BFS source, GUPS/YCSB key streams).  Returns the work items done
     (edges, updates, rows, transactions).
     @raise Invalid_argument on [Tpch q] with [q] outside [1..22] or
-    non-positive batch sizes. *)
+    non-positive batch sizes, and on a kind whose dataset was not
+    built. *)
 
 val run_replica : Engine.Sched.ctx -> data -> seed:int -> replica:int -> kind -> int
 (** {!run} for the [replica]-th member of a replica group (0 = primary).
@@ -73,7 +90,9 @@ val run_replica : Engine.Sched.ctx -> data -> seed:int -> replica:int -> kind ->
     ordinal rotates the usable-chiplet preference so redundant DAG
     executions map their nodes onto different silicon. *)
 
-val worker_chiplets : Engine.Sched.ctx -> int array option
+val worker_chiplets : data -> Engine.Sched.ctx -> int array option
 (** Chiplets that currently host a scheduler worker ([None] if none was
     found, leaving the caller its default).  DAG mapping and replica
-    placement restrict themselves to these. *)
+    placement restrict themselves to these.  The array is cached until
+    the scheduler's {!Engine.Sched.placement_epoch} moves; callers must
+    not modify it. *)

@@ -23,6 +23,11 @@ let incr t ?(by = 1) name =
   let c = find_or t.counters name (fun () -> ref 0) in
   c := !c + by
 
+type counter = int ref
+
+let counter t name = find_or t.counters name (fun () -> ref 0)
+let bump c = c := !c + 1
+
 let counter_value t name =
   match Hashtbl.find_opt t.counters name with Some c -> !c | None -> 0
 

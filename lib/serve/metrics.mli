@@ -13,6 +13,16 @@ val create : unit -> t
 (** {2 Counters} — monotonically increasing integers. *)
 
 val incr : t -> ?by:int -> string -> unit
+type counter
+
+val counter : t -> string -> counter
+(** The named counter's cell, created at 0 if absent: a hot path holds
+    it and {!bump}s it without a name lookup.  A counter created this way
+    is in {!to_json} even if never bumped. *)
+
+val bump : counter -> unit
+(** Add 1. *)
+
 val counter_value : t -> string -> int
 (** 0 if the counter was never incremented. *)
 

@@ -252,6 +252,9 @@ type session = {
   sched : Sched.t;
   env : Workloads.Exec_env.t;
   data : Job.data;
+  costs : (Job.kind * float) array;
+      (** every kind of the tenant mixes with its {!Job.cost_estimate},
+          priced once *)
   registry : Metrics.t;
   tenants : tenant_state array;
   fq : pending Fair_queue.t;
@@ -276,7 +279,18 @@ type session = {
       (** armed corruption seeds actually consumed by replica tokens *)
 }
 
-let create inst cfg =
+(* the cost of a kind: read from the session's table, priced on the spot
+   (and checked to have its dataset) only for a kind outside the mixes *)
+let cost_of costs data kind =
+  let rec find i =
+    if i = Array.length costs then Job.cost_estimate data kind
+    else
+      let k, c = costs.(i) in
+      if k = kind then c else find (i + 1)
+  in
+  find 0
+
+let create ?share inst cfg =
   validate cfg;
   let env = inst.Systems.env in
   let sched = env.Workloads.Exec_env.sched in
@@ -284,7 +298,9 @@ let create inst cfg =
   let registry = Metrics.create () in
   Metrics.set_gauge registry "serve.effective_capacity"
     (Chipsim.Modifiers.online_capacity (Machine.modifiers inst.Systems.machine));
-  let data = Job.prepare env cfg.data in
+  let kinds = List.sort_uniq compare (List.concat_map (fun t -> List.map fst t.mix) cfg.tenants) in
+  let data = Job.prepare ?share:(Option.map (fun s -> s.data) share) env cfg.data kinds in
+  let costs = Array.of_list (List.map (fun k -> (k, Job.cost_estimate data k)) kinds) in
   let tenants =
     List.mapi
       (fun idx t ->
@@ -292,7 +308,7 @@ let create inst cfg =
           let num, den =
             List.fold_left
               (fun (num, den) (k, w) ->
-                (num +. (float_of_int w *. Job.cost_estimate data k), den + w))
+                (num +. (float_of_int w *. cost_of costs data k), den + w))
               (0.0, 0) t.mix
           in
           num /. float_of_int den
@@ -340,12 +356,13 @@ let create inst cfg =
   let counter_interval_ns = 50_000.0 in
   let last_fills = ref Pmu.zero_fill_classes in
   let last_fills_ns = ref 0.0 in
+  let quanta = Metrics.counter registry "sched.quanta" in
   Sched.set_hooks sched
     {
       base_hooks with
       Sched.on_quantum_end =
         (fun s w ->
-          Metrics.incr registry "sched.quanta";
+          Metrics.bump quanta;
           (match cfg.trace with
           | Some tr ->
               let now = Sched.worker_clock s w in
@@ -372,6 +389,7 @@ let create inst cfg =
     sched;
     env;
     data;
+    costs;
     registry;
     tenants;
     fq;
@@ -435,7 +453,7 @@ and dispatch_replicated sess ctx st p ~start_at =
   let sched = Sched.Ctx.sched ctx in
   let topo = Machine.topology sess.inst.Systems.machine in
   let group =
-    match Job.worker_chiplets ctx with
+    match Job.worker_chiplets sess.data ctx with
     | Some chiplets ->
         Replica.placement ~chiplets ~job_id:p.id ~replicas:st.cfg_t.replicas
     | None -> [| 0 |]
@@ -558,6 +576,9 @@ and complete sess ctx st p items =
    arrivals must not consume draws), external drivers supply it. *)
 let admit_or_shed sess st ~job_id ~arrival ~kind ~seed_of =
   let now = arrival in
+  (* priced first: a kind whose dataset this session did not build fails
+     here, before any ledger counts it *)
+  let cost = cost_of sess.costs sess.data kind in
   (* arrival conservation, checked before this arrival is counted: every
      prior submission was either admitted or shed, never both or neither *)
   if sess.cfg.check && st.submitted <> st.admitted + st.shed then
@@ -596,9 +617,7 @@ let admit_or_shed sess st ~job_id ~arrival ~kind ~seed_of =
           done_f = Future.create ();
         }
       in
-      Fair_queue.push sess.fq ~tenant:st.idx
-        ~cost:(Job.cost_estimate sess.data kind)
-        p;
+      Fair_queue.push sess.fq ~tenant:st.idx ~cost p;
       Metrics.set_gauge sess.registry "serve.queue_depth"
         (float_of_int (Fair_queue.length sess.fq));
       (decision, Some p)
@@ -703,7 +722,7 @@ let backlog_ns sess =
   done;
   !m
 
-let cost_estimate sess kind = Job.cost_estimate sess.data kind
+let cost_estimate sess kind = cost_of sess.costs sess.data kind
 let session_registry sess = sess.registry
 let session_instance sess = sess.inst
 

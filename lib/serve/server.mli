@@ -144,9 +144,13 @@ module Session : sig
                               relocated job pays for its detour *)
   }
 
-  val create : Harness.Systems.instance -> config -> t
-  (** Prepare datasets, tenant ledgers and observability hooks; arrival
-      processes in the config are ignored ([submit] drives arrivals).
+  val create : ?share:t -> Harness.Systems.instance -> config -> t
+  (** Prepare the datasets the tenant mixes use ({!Job.prepare}), price
+      every mix kind once, and set up tenant ledgers and observability
+      hooks; arrival processes in the config are ignored ([submit]
+      drives arrivals).  With [share], another session on another
+      machine with equal dataset config, the immutable datasets reuse
+      its host arrays (a fleet builds them once).
       @raise Invalid_argument as {!run}. *)
 
   val submit :
@@ -154,7 +158,8 @@ module Session : sig
     job_seed:int -> Admission.decision
   (** Offer one job to the shard's admission controller at virtual time
       [arrival].  Admitted jobs queue until the next {!drain}.
-      @raise Invalid_argument on a tenant index out of range. *)
+      @raise Invalid_argument on a tenant index out of range, or a kind
+      whose dataset the session did not build (no tenant mix uses it). *)
 
   val drain : t -> horizon:float -> kick_ns:float -> unit
   (** Run the shard's scheduler until every dispatched job completes,
@@ -183,6 +188,9 @@ module Session : sig
   (** Max worker clock: how far the shard's virtual time has advanced. *)
 
   val cost_estimate : t -> Job.kind -> float
+  (** {!Job.cost_estimate}, read from the session's per-kind table for
+      the kinds of the tenant mixes. *)
+
   val registry : t -> Metrics.t
   val instance : t -> Harness.Systems.instance
 

@@ -42,14 +42,15 @@ let run ?(tenant = "dag") ?(job_id = 0) ctx (m : Mapper.t) (g : Graph.t) =
   let pending = Array.map Array.length g.Graph.preds in
   let cross = ref 0 in
   let worker_for ch =
-    let rec go = function
-      | [] -> None
-      | core :: rest -> (
-          match Sched.worker_of_core sched core with
-          | Some w -> Some w
-          | None -> go rest)
+    let first = Topology.first_core_of_chiplet topo ch in
+    let rec go core =
+      if core = first + topo.Topology.cores_per_chiplet then None
+      else
+        match Sched.worker_of_core sched core with
+        | Some _ as w -> w
+        | None -> go (core + 1)
     in
-    go (Topology.cores_of_chiplet topo ch)
+    go first
   in
   let rec body i ctx' =
     let nd = g.Graph.nodes.(i) in

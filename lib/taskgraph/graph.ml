@@ -72,7 +72,24 @@ let scaled_cost_ns topo kind n =
 
 let equal a b = a.name = b.name && a.nodes = b.nodes && a.edges = b.edges
 
-let v ~name ~nodes ~edges =
+(* edge indices [0, upto) grouped by [key] node, each group in index
+   order *)
+let group n edges ~upto key =
+  let count = Array.make n 0 in
+  for i = 0 to upto - 1 do
+    let k = key edges.(i) in
+    count.(k) <- count.(k) + 1
+  done;
+  let out = Array.map (fun c -> Array.make c 0) count in
+  Array.fill count 0 n 0;
+  for i = 0 to upto - 1 do
+    let k = key edges.(i) in
+    out.(k).(count.(k)) <- i;
+    count.(k) <- count.(k) + 1
+  done;
+  out
+
+let build ~copy ~name ~nodes ~edges =
   let n = Array.length nodes in
   if n = 0 then invalid_arg "Graph.v: a graph needs at least one node";
   Array.iteri
@@ -82,30 +99,47 @@ let v ~name ~nodes ~edges =
           (Printf.sprintf "Graph.v: node %d cost %g must be positive" i
              nd.cost_ns))
     nodes;
-  let seen = Hashtbl.create (Array.length edges) in
-  Array.iter
-    (fun e ->
-      if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n then
-        invalid_arg
-          (Printf.sprintf "Graph.v: edge %d -> %d references a node outside [0,%d)"
-             e.src e.dst n);
-      if e.src = e.dst then
-        invalid_arg (Printf.sprintf "Graph.v: self-edge on node %d" e.src);
-      if e.bytes < 0 then
-        invalid_arg
-          (Printf.sprintf "Graph.v: edge %d -> %d has negative bytes" e.src e.dst);
-      if Hashtbl.mem seen (e.src, e.dst) then
-        invalid_arg (Printf.sprintf "Graph.v: duplicate edge %d -> %d" e.src e.dst);
-      Hashtbl.add seen (e.src, e.dst) ())
-    edges;
-  let preds = Array.make n [] and succs = Array.make n [] in
+  let m = Array.length edges in
+  (* the first edge out of range, a self-edge or with negative bytes *)
+  let bad = ref m in
+  (try
+     for i = 0 to m - 1 do
+       let e = edges.(i) in
+       if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n || e.src = e.dst || e.bytes < 0
+       then begin
+         bad := i;
+         raise Exit
+       end
+     done
+   with Exit -> ());
+  let preds = group n edges ~upto:!bad (fun e -> e.dst)
+  and succs = group n edges ~upto:!bad (fun e -> e.src) in
+  (* the first edge before [bad] repeating an earlier edge's (src, dst):
+     an edge is checked for repeats after its own checks, so that error
+     is reported only if it comes first *)
+  let dup = ref m and seen_from = Array.make n (-1) in
   Array.iteri
-    (fun i e ->
-      preds.(e.dst) <- i :: preds.(e.dst);
-      succs.(e.src) <- i :: succs.(e.src))
-    edges;
-  let preds = Array.map (fun l -> Array.of_list (List.rev l)) preds in
-  let succs = Array.map (fun l -> Array.of_list (List.rev l)) succs in
+    (fun src out ->
+      Array.iter
+        (fun ei ->
+          let dst = edges.(ei).dst in
+          if seen_from.(dst) = src then dup := min !dup ei else seen_from.(dst) <- src)
+        out)
+    succs;
+  if !dup < !bad then
+    invalid_arg
+      (Printf.sprintf "Graph.v: duplicate edge %d -> %d" edges.(!dup).src edges.(!dup).dst);
+  if !bad < m then begin
+    let e = edges.(!bad) in
+    if e.src < 0 || e.src >= n || e.dst < 0 || e.dst >= n then
+      invalid_arg
+        (Printf.sprintf "Graph.v: edge %d -> %d references a node outside [0,%d)"
+           e.src e.dst n);
+    if e.src = e.dst then
+      invalid_arg (Printf.sprintf "Graph.v: self-edge on node %d" e.src);
+    invalid_arg
+      (Printf.sprintf "Graph.v: edge %d -> %d has negative bytes" e.src e.dst)
+  end;
   (* Kahn's algorithm, always picking the smallest ready node id: rejects
      cycles and yields one deterministic topological order *)
   let indeg = Array.map Array.length preds in
@@ -130,7 +164,10 @@ let v ~name ~nodes ~edges =
        if indeg.(i) > 0 then culprit := i
      done;
      invalid_arg (Printf.sprintf "Graph.v: cycle through node %d" !culprit));
-  { name; nodes = Array.copy nodes; edges = Array.copy edges; preds; succs; order }
+  let nodes, edges = if copy then (Array.copy nodes, Array.copy edges) else (nodes, edges) in
+  { name; nodes; edges; preds; succs; order }
+
+let v ~name ~nodes ~edges = build ~copy:true ~name ~nodes ~edges
 
 (* -- deterministic generator --------------------------------------------- *)
 
@@ -169,7 +206,9 @@ let generate ~shape ~layers ~seed () =
     !count - 1
   in
   let add_edge src dst bytes = edges := { src; dst; bytes } :: !edges in
-  let name = Printf.sprintf "%s-%d-%d" (shape_name shape) layers seed in
+  let name =
+    String.concat "-" [ shape_name shape; string_of_int layers; string_of_int seed ]
+  in
   (match shape with
   | Chain ->
       (* a DNN backbone: embed -> (conv|matmul / elementwise)* -> reduce *)
@@ -217,7 +256,8 @@ let generate ~shape ~layers ~seed () =
       done;
       let agg = add_node Reduce (glue_cost rng) in
       List.iter (fun s -> add_edge s agg (heavy_bytes rng)) (List.rev !agg_deps));
-  v ~name
+  (* the arrays are fresh, so [v]'s defensive copies are skipped *)
+  build ~copy:false ~name
     ~nodes:(Array.of_list (List.rev !nodes))
     ~edges:(Array.of_list (List.rev !edges))
 

@@ -44,101 +44,149 @@ let hint_order topo =
       (socket * per_socket)
       + (Charm.Placement.chiplet_speed_order topo ~socket).(k))
 
-let usable_chiplets topo = function
+type prepared = {
+  topo : Topology.t;
+  hint : int array;  (* every chiplet, in [hint_order] *)
+  kind_of : int array;  (* chiplet -> [Topology.kind_index] of its kind *)
+}
+
+(* [Topology.kind_index] -> kind *)
+let kinds = [| Topology.Big; Topology.Little; Topology.Accel |]
+
+let prepare topo =
+  {
+    topo;
+    hint = hint_order topo;
+    kind_of =
+      Array.init (Topology.num_chiplets topo) (fun ch ->
+          Topology.kind_index (Topology.kind_of_chiplet topo ch));
+  }
+
+let check_usable topo u =
+  if Array.length u = 0 then invalid_arg "Mapper.map: usable chiplet set is empty";
+  Array.iter
+    (fun ch ->
+      if ch < 0 || ch >= Topology.num_chiplets topo then
+        invalid_arg "Mapper.map: usable chiplet out of range")
+    u
+
+(* the usable chiplets in hint order *)
+let candidates p usable =
+  match usable with
+  | None -> p.hint
   | Some u ->
-      if Array.length u = 0 then
-        invalid_arg "Mapper.map: usable chiplet set is empty";
+      let in_use = Array.make (Array.length p.hint) false in
+      Array.iter (fun ch -> in_use.(ch) <- true) u;
+      let c = Array.make (Array.fold_left (fun n b -> if b then n + 1 else n) 0 in_use) 0 in
+      let j = ref 0 in
       Array.iter
         (fun ch ->
-          if ch < 0 || ch >= Topology.num_chiplets topo then
-            invalid_arg "Mapper.map: usable chiplet out of range")
-        u;
-      Array.copy u
-  | None -> Array.init (Topology.num_chiplets topo) Fun.id
+          if in_use.(ch) then begin
+            c.(!j) <- ch;
+            incr j
+          end)
+        p.hint;
+      c
 
-let map ?usable topo ~policy (g : Graph.t) =
-  let usable = usable_chiplets topo usable in
+let comm_aware p ?usable (g : Graph.t) =
+  let topo = p.topo in
+  let candidates = candidates p usable in
   let n = Graph.num_nodes g in
+  (* 1. contract heavy edges under a per-cluster compute budget *)
+  let parent = Array.init n Fun.id in
+  let rec find i =
+    if parent.(i) = i then i
+    else begin
+      let r = find parent.(i) in
+      parent.(i) <- r;
+      r
+    end
+  in
+  let cost = Array.map (fun (nd : Graph.node) -> nd.cost_ns) g.nodes in
+  let budget =
+    1.5 *. Graph.total_cost_ns g /. float_of_int (min n (Array.length candidates))
+  in
+  let edges = Array.copy g.edges in
+  Array.sort
+    (fun (a : Graph.edge) (b : Graph.edge) ->
+      if a.bytes <> b.bytes then Int.compare b.bytes a.bytes
+      else if a.src <> b.src then Int.compare a.src b.src
+      else Int.compare a.dst b.dst)
+    edges;
+  Array.iter
+    (fun (e : Graph.edge) ->
+      let ra = find e.src and rb = find e.dst in
+      if ra <> rb && cost.(ra) +. cost.(rb) <= budget then begin
+        let keep, drop = if ra < rb then (ra, rb) else (rb, ra) in
+        parent.(drop) <- keep;
+        cost.(keep) <- cost.(keep) +. cost.(drop)
+      end)
+    edges;
+  (* 2. clusters heaviest first (ties by smallest root), each with its
+     members in ascending order as a linked list through [next] *)
+  let head = Array.make n (-1) and next = Array.make n (-1) in
+  let roots = ref 0 in
+  for i = n - 1 downto 0 do
+    let r = find i in
+    if head.(r) < 0 then incr roots;
+    next.(i) <- head.(r);
+    head.(r) <- i
+  done;
+  let clusters = Array.make !roots 0 in
+  let j = ref 0 in
+  for r = 0 to n - 1 do
+    if head.(r) >= 0 then begin
+      clusters.(!j) <- r;
+      incr j
+    end
+  done;
+  Array.sort
+    (fun ra rb ->
+      if cost.(ra) <> cost.(rb) then Float.compare cost.(rb) cost.(ra)
+      else Int.compare ra rb)
+    clusters;
+  (* 3. place each cluster where load + kind-weighted cost is least; the
+     cluster's cost on each kind is summed once *)
+  let load = Array.make (Topology.num_chiplets topo) 0.0 in
+  let on_kind = Array.make (Array.length kinds) 0.0 in
+  let assign = Array.make n (-1) in
+  Array.iter
+    (fun r ->
+      for k = 0 to Array.length kinds - 1 do
+        let acc = ref 0.0 and i = ref head.(r) in
+        while !i >= 0 do
+          acc := !acc +. Graph.scaled_cost_ns topo kinds.(k) g.Graph.nodes.(!i);
+          i := next.(!i)
+        done;
+        on_kind.(k) <- !acc
+      done;
+      let best = ref candidates.(0) and best_score = ref Float.infinity in
+      for c = 0 to Array.length candidates - 1 do
+        let ch = candidates.(c) in
+        let s = load.(ch) +. on_kind.(p.kind_of.(ch)) in
+        if s < !best_score then begin
+          best := ch;
+          best_score := s
+        end
+      done;
+      load.(!best) <- !best_score;
+      let i = ref head.(r) in
+      while !i >= 0 do
+        assign.(!i) <- !best;
+        i := next.(!i)
+      done)
+    clusters;
+  assign
+
+let map_prepared p ?usable ~policy (g : Graph.t) =
+  Option.iter (check_usable p.topo) usable;
   let assign =
     match policy with
     | Blind ->
-        Array.init n (fun i -> usable.(i mod Array.length usable))
-    | Comm_aware ->
-        let in_use = Array.make (Topology.num_chiplets topo) false in
-        Array.iter (fun ch -> in_use.(ch) <- true) usable;
-        let candidates =
-          Array.of_list
-            (List.filter (fun ch -> in_use.(ch))
-               (Array.to_list (hint_order topo)))
-        in
-        (* 1. contract heavy edges under a per-cluster compute budget *)
-        let parent = Array.init n Fun.id in
-        let rec find i =
-          if parent.(i) = i then i
-          else begin
-            let r = find parent.(i) in
-            parent.(i) <- r;
-            r
-          end
-        in
-        let cost = Array.map (fun (nd : Graph.node) -> nd.cost_ns) g.nodes in
-        let budget =
-          1.5 *. Graph.total_cost_ns g
-          /. float_of_int (min n (Array.length candidates))
-        in
-        let edges = Array.copy g.edges in
-        Array.sort
-          (fun (a : Graph.edge) (b : Graph.edge) ->
-            if a.bytes <> b.bytes then compare b.bytes a.bytes
-            else compare (a.src, a.dst) (b.src, b.dst))
-          edges;
-        Array.iter
-          (fun (e : Graph.edge) ->
-            let ra = find e.src and rb = find e.dst in
-            if ra <> rb && cost.(ra) +. cost.(rb) <= budget then begin
-              let keep, drop = if ra < rb then (ra, rb) else (rb, ra) in
-              parent.(drop) <- keep;
-              cost.(keep) <- cost.(keep) +. cost.(drop)
-            end)
-          edges;
-        (* 2. collect clusters, heaviest first (ties by smallest root) *)
-        let members = Hashtbl.create 16 in
-        for i = n - 1 downto 0 do
-          let r = find i in
-          Hashtbl.replace members r
-            (i :: Option.value ~default:[] (Hashtbl.find_opt members r))
-        done;
-        let clusters =
-          Hashtbl.fold (fun r ms acc -> (r, ms) :: acc) members []
-          |> List.sort (fun (ra, _) (rb, _) ->
-                 if cost.(ra) <> cost.(rb) then compare cost.(rb) cost.(ra)
-                 else compare ra rb)
-        in
-        (* 3. place each cluster where load + kind-weighted cost is least *)
-        let load = Array.make (Topology.num_chiplets topo) 0.0 in
-        let assign = Array.make n (-1) in
-        List.iter
-          (fun (_r, ms) ->
-            let cost_on ch =
-              let kind = Topology.kind_of_chiplet topo ch in
-              List.fold_left
-                (fun acc i ->
-                  acc +. Graph.scaled_cost_ns topo kind g.Graph.nodes.(i))
-                0.0 ms
-            in
-            let best = ref candidates.(0)
-            and best_score = ref Float.infinity in
-            Array.iter
-              (fun ch ->
-                let s = load.(ch) +. cost_on ch in
-                if s < !best_score then begin
-                  best := ch;
-                  best_score := s
-                end)
-              candidates;
-            load.(!best) <- !best_score;
-            List.iter (fun i -> assign.(i) <- !best) ms)
-          clusters;
-        assign
+        let u = match usable with Some u -> u | None -> Array.init (Array.length p.hint) Fun.id in
+        Array.init (Graph.num_nodes g) (fun i -> u.(i mod Array.length u))
+    | Comm_aware -> comm_aware p ?usable g
   in
   { policy; assign; cross_bytes = cross_bytes g ~assign }
+
+let map ?usable topo ~policy g = map_prepared (prepare topo) ?usable ~policy g

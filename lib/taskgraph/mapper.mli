@@ -32,5 +32,16 @@ val map : ?usable:int array -> Topology.t -> policy:policy -> Graph.t -> t
     that actually host workers); default all.
     @raise Invalid_argument if [usable] is empty or out of range. *)
 
+type prepared
+(** A topology's mapper inputs that do not change from call to call: the
+    candidate chiplet order and each chiplet's kind. *)
+
+val prepare : Topology.t -> prepared
+
+val map_prepared :
+  prepared -> ?usable:int array -> policy:policy -> Graph.t -> t
+(** {!map} on a prepared topology: equal results, without recomputing
+    the chiplet order.  [usable] is read, never kept or modified. *)
+
 val cross_bytes : Graph.t -> assign:int array -> int
 (** Bytes on edges cut by an assignment (what {!t.cross_bytes} holds). *)

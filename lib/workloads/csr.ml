@@ -11,6 +11,14 @@ type t = {
   sim_weight : Simmem.region;
 }
 
+(* weights, columns, then row pointers: the order, and so the simulated
+   address layout, every recorded baseline was run with *)
+let alloc_regions ~alloc ~n ~m =
+  let sim_weight = alloc ~elt_bytes:8 ~count:(max m 1) in
+  let sim_col = alloc ~elt_bytes:8 ~count:(max m 1) in
+  let sim_row = alloc ~elt_bytes:8 ~count:(n + 1) in
+  (sim_row, sim_col, sim_weight)
+
 let of_edges ~alloc ~n ~src ~dst ?weights () =
   let m = Array.length src in
   if Array.length dst <> m then invalid_arg "Csr.of_edges: src/dst length mismatch";
@@ -41,16 +49,19 @@ let of_edges ~alloc ~n ~src ~dst ?weights () =
     wout.(cursor.(u)) <- weight.(e);
     cursor.(u) <- cursor.(u) + 1
   done;
-  {
-    n;
-    m;
-    row_ptr;
-    col;
-    weight = wout;
-    sim_row = alloc ~elt_bytes:8 ~count:(n + 1);
-    sim_col = alloc ~elt_bytes:8 ~count:(max m 1);
-    sim_weight = alloc ~elt_bytes:8 ~count:(max m 1);
-  }
+  let sim_row, sim_col, sim_weight = alloc_regions ~alloc ~n ~m in
+  { n; m; row_ptr; col; weight = wout; sim_row; sim_col; sim_weight }
+
+let with_regions ~alloc g =
+  let sim_row, sim_col, sim_weight = alloc_regions ~alloc ~n:g.n ~m:g.m in
+  { g with sim_row; sim_col; sim_weight }
+
+let reserve_kronecker ~alloc ~scale ~edge_factor =
+  Kronecker.check_size ~scale ~edge_factor;
+  (* [of_kronecker] symmetrises the generator's [edge_factor * 2^scale]
+     edges *)
+  let n = 1 lsl scale in
+  ignore (alloc_regions ~alloc ~n ~m:(2 * edge_factor * n))
 
 let of_kronecker ~alloc ?(weighted = false) ?(seed = 7) kron =
   let m = Kronecker.num_edges kron in

@@ -35,6 +35,22 @@ val of_kronecker :
 (** Symmetrise (both directions) and build; weights uniform in [1,255]
     when [weighted]. *)
 
+val with_regions :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) -> t -> t
+(** The same graph (its host arrays shared, not copied) with fresh
+    simulated regions, allocated in the order and sizes {!of_edges}
+    allocates them: on a fresh allocator they land at the addresses a
+    rebuild would give. *)
+
+val reserve_kronecker :
+  alloc:(elt_bytes:int -> count:int -> Simmem.region) ->
+  scale:int -> edge_factor:int -> unit
+(** Allocate only the regions {!of_kronecker} would allocate for a graph
+    of that scale and edge factor, keeping the address layout of later
+    allocations without building the graph.
+    @raise Invalid_argument as {!Kronecker.generate} on a size it
+    refuses. *)
+
 val degree : t -> int -> int
 val out_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [out_neighbors t u f] calls [f v w] for every out-edge (u,v,w). *)

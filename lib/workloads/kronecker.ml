@@ -7,7 +7,7 @@ let pc = 0.19
 
 let max_edge_entries = 1 lsl 26
 
-let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
+let check_size ~scale ~edge_factor =
   if scale < 1 then invalid_arg "Kronecker.generate: scale must be >= 1";
   if edge_factor < 1 then invalid_arg "Kronecker.generate: edge_factor must be >= 1";
   (* the symmetric CSR built from this list holds 2 x edge_factor x 2^scale
@@ -16,7 +16,10 @@ let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
     Printf.ksprintf invalid_arg
       "Kronecker.generate: scale %d with edge factor %d exceeds the %d-entry \
        edge-array bound"
-      scale edge_factor max_edge_entries;
+      scale edge_factor max_edge_entries
+
+let generate ?(seed = 42) ?(edge_factor = 16) ~scale () =
+  check_size ~scale ~edge_factor;
   let n = 1 lsl scale in
   let m = edge_factor * n in
   let rng = Engine.Rng.create seed in

@@ -21,5 +21,9 @@ val generate : ?seed:int -> ?edge_factor:int -> scale:int -> unit -> t
 (** @raise Invalid_argument if [scale < 1], [edge_factor < 1], or the
     graph exceeds {!max_edge_entries}. *)
 
+val check_size : scale:int -> edge_factor:int -> unit
+(** {!generate}'s size check alone.
+    @raise Invalid_argument as {!generate}. *)
+
 val num_vertices : t -> int
 val num_edges : t -> int

@@ -6,4 +6,5 @@ let () =
       ("replica", Test_replica.suite);
       ("histogram-prop", Test_prop_histogram.suite);
       ("faults", Test_faults.suite);
+      ("jobs", Test_jobs.suite);
     ]

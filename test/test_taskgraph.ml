@@ -143,6 +143,12 @@ let negative_specs =
       "duplicate edge 0 -> 1" );
     ( "node 0 conv 100\nnode 1 conv 50\nedge 0 1 1KiB\nedge 1 0 1KiB",
       "cycle through node" );
+    (* the first bad edge in file order is the one reported *)
+    ( "node 0 conv 100\nnode 1 conv 50\nnode 2 conv 10\nedge 0 1 1KiB\nedge 1 2 1KiB\n\
+       edge 0 1 2KiB\nedge 0 7 1KiB",
+      "duplicate edge 0 -> 1" );
+    ( "node 0 conv 100\nnode 1 conv 50\nedge 0 1 1KiB\nedge 1 1 1KiB\nedge 0 1 2KiB",
+      "self-edge on node 1" );
   ]
 
 let test_negative_parses () =
